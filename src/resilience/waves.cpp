@@ -18,69 +18,19 @@ namespace {
 /// vl_in_range, so the overflow slot never fires here in practice — it
 /// only keeps a hypothetically broken lane from hiding behind a legal
 /// dependency.
-using Edge = std::pair<std::uint32_t, std::uint32_t>;
+using Edge = ColumnPass::Edge;
 
-struct DepExtractor {
-  const Network& net;
-  std::uint32_t stride;
-
-  std::uint32_t slot(std::uint8_t vl) const {
-    return vl < stride - 1 ? vl : stride - 1;
-  }
-
-  /// Dependencies of one forwarding column: column-derived in O(nodes)
-  /// for VL schemes where the lane at a node is source-independent
-  /// (kPerDest, kPerHop — mirrors union_cdg_acyclic's accumulator), exact
-  /// stale-tolerant per-source walks for kPerSource. Sorted and
-  /// deduplicated so the incremental admission checks stay proportional
-  /// to the real delta.
-  std::vector<Edge> column(const RoutingResult& rr, std::uint32_t di) const {
-    std::vector<Edge> edges;
-    const NodeId d = rr.destinations()[di];
-    if (rr.vl_mode() == VlMode::kPerSource) {
-      for (NodeId s : net.terminals()) {
-        if (s == d || !net.node_alive(s)) continue;
-        NodeId at = s;
-        std::size_t hops = 0;
-        auto prev = static_cast<std::uint32_t>(-1);
-        while (at != d && hops++ <= net.num_nodes()) {
-          const ChannelId c = rr.next(at, di);
-          if (c == kInvalidChannel || net.src(c) != at ||
-              !net.channel_alive(c)) {
-            break;  // stale prefix: emitted dependencies stay
-          }
-          const std::uint32_t cur = c * stride + slot(rr.vl(at, s, di));
-          if (prev != static_cast<std::uint32_t>(-1)) {
-            edges.emplace_back(prev, cur);
-          }
-          prev = cur;
-          at = net.dst(c);
-        }
-      }
-    } else {
-      for (NodeId v = 0; v < net.num_nodes(); ++v) {
-        if (v == d || !net.node_alive(v)) continue;
-        const ChannelId c = rr.next(v, di);
-        if (c == kInvalidChannel || net.src(c) != v ||
-            !net.channel_alive(c)) {
-          continue;  // hole/stale entry: no resource requested here
-        }
-        const NodeId u = net.dst(c);
-        if (u == d || !net.node_alive(u)) continue;
-        const ChannelId c2 = rr.next(u, di);
-        if (c2 == kInvalidChannel || net.src(c2) != u ||
-            !net.channel_alive(c2)) {
-          continue;
-        }
-        edges.emplace_back(c * stride + slot(rr.vl(v, v, di)),
-                           c2 * stride + slot(rr.vl(u, u, di)));
-      }
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    return edges;
-  }
-};
+/// Dependencies of one forwarding column (see union_cdg_acyclic for the
+/// walk seeds), sorted and deduplicated so the incremental admission
+/// checks stay proportional to the real delta.
+std::vector<Edge> column_edges(ColumnPass& pass, std::uint32_t di,
+                               const std::vector<NodeId>& seeds) {
+  pass.run(di, seeds);
+  std::vector<Edge> edges = pass.edges();
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
 
 /// Forwarding columns equal over the alive fabric. Entries at dead nodes
 /// are ignored: no packet can be there to request a resource, and the
@@ -123,29 +73,8 @@ struct TopoGraph {
     for (const Edge& e : es) adj[e.first].push_back(e.second);
   }
 
-  /// Kahn's algorithm; refills pos. False iff the graph has a cycle.
-  bool recompute_topo() {
-    const std::size_t n = adj.size();
-    std::vector<std::uint32_t> indeg(n, 0);
-    for (const auto& out : adj) {
-      for (std::uint32_t w : out) ++indeg[w];
-    }
-    std::vector<std::uint32_t> queue;
-    queue.reserve(n);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (indeg[v] == 0) queue.push_back(v);
-    }
-    std::size_t head = 0;
-    std::uint32_t done = 0;
-    while (head < queue.size()) {
-      const std::uint32_t v = queue[head++];
-      pos[v] = done++;
-      for (std::uint32_t w : adj[v]) {
-        if (--indeg[w] == 0) queue.push_back(w);
-      }
-    }
-    return done == n;
-  }
+  /// Refills pos; false iff the graph has a cycle.
+  bool recompute_topo() { return is_acyclic(adj, &pos); }
 
   /// Admit es iff the graph stays acyclic; on rejection the graph (and
   /// the topological order) are left as before.
@@ -187,7 +116,13 @@ WavePlan schedule_waves(const Network& net, const RoutingResult& old_rr,
   }
   const std::uint32_t stride =
       std::max(old_rr.num_vls(), new_rr.num_vls()) + 1;
-  const DepExtractor ex{net, stride};
+  // Seeds as in union_cdg_acyclic: per-source lanes are walked from the
+  // terminals, all other columns from every alive node.
+  const std::vector<NodeId> seeds = new_rr.vl_mode() == VlMode::kPerSource
+                                        ? net.terminals()
+                                        : net.alive_nodes();
+  ColumnPass old_pass(net, old_rr, stride, stride - 1);
+  ColumnPass new_pass(net, new_rr, stride, stride - 1);
 
   // Classify every column: shared (byte-equal over the alive fabric, its
   // dependencies are immutable background), changed (migrates in some
@@ -214,20 +149,20 @@ WavePlan schedule_waves(const Network& net, const RoutingResult& old_rr,
       Delta dl;
       dl.d = d;
       dl.affected = true;
-      dl.e_new = ex.column(new_rr, di32);
+      dl.e_new = column_edges(new_pass, di32, seeds);
       deltas.push_back(std::move(dl));
       continue;
     }
     if (columns_equal(net, old_rr, old_di, new_rr, di32, d)) {
-      const std::vector<Edge> es = ex.column(new_rr, di32);
+      const std::vector<Edge> es = column_edges(new_pass, di32, seeds);
       base_edges.insert(base_edges.end(), es.begin(), es.end());
       continue;
     }
     Delta dl;
     dl.d = d;
     dl.affected = broken[d] != 0;
-    dl.e_old = ex.column(old_rr, old_di);
-    dl.e_new = ex.column(new_rr, di32);
+    dl.e_old = column_edges(old_pass, old_di, seeds);
+    dl.e_new = column_edges(new_pass, di32, seeds);
     deltas.push_back(std::move(dl));
   }
   std::size_t dropped = 0;
@@ -236,7 +171,7 @@ WavePlan schedule_waves(const Network& net, const RoutingResult& old_rr,
     if (new_rr.is_destination(d)) continue;
     ++dropped;
     const std::vector<Edge> es =
-        ex.column(old_rr, static_cast<std::uint32_t>(di));
+        column_edges(old_pass, static_cast<std::uint32_t>(di), seeds);
     dropped_edges.insert(dropped_edges.end(), es.begin(), es.end());
   }
   plan.changed_dests = deltas.size() + dropped;

@@ -23,8 +23,9 @@ void write_network_dot(std::ostream& os, const Network& net);
 
 /// GraphViz rendering of the CDG induced by `rr` for traffic from
 /// `sources` (default: all terminals): one vertex per (channel, VL) in
-/// use, edges = observed dependencies. Cycle-free output is a visual proof
-/// of Theorem 1's condition.
+/// use, edges = observed dependencies (a line per dependency and column,
+/// see induced_cdg). Cycle-free output is a visual proof of Theorem 1's
+/// condition.
 void write_cdg_dot(std::ostream& os, const Network& net,
                    const RoutingResult& rr,
                    std::vector<NodeId> sources = {});

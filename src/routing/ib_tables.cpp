@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "routing/validate.hpp"
 #include "util/error.hpp"
 
 namespace nue {
@@ -87,60 +88,84 @@ IbTables compile_ib_tables(const Network& net, const RoutingResult& rr) {
   return t;
 }
 
+namespace {
+
+/// The channel a packet at `at` heading for `dlid` takes, from the
+/// compiled state alone; throws on an LFT hole or a dead port.
+ChannelId compiled_hop(const Network& net, const IbTables& tables, NodeId at,
+                       Lid dlid) {
+  ChannelId c;
+  if (net.is_terminal(at)) {
+    c = tables.port_channel[at].at(0);
+  } else {
+    const std::uint8_t port = tables.lft[at].at(dlid);
+    NUE_CHECK_MSG(port != kInvalidPort,
+                  "LFT hole at node " << at << " toward LID " << dlid);
+    c = tables.port_channel[at].at(port);
+  }
+  NUE_CHECK(net.channel_alive(c));
+  return c;
+}
+
+}  // namespace
+
 std::vector<ChannelId> ib_walk(const Network& net, const IbTables& tables,
                                NodeId src, NodeId dst) {
   const Lid dlid = tables.lid_of_node[dst];
   NUE_CHECK(dlid != kInvalidLid);
   std::vector<ChannelId> path;
-  NodeId at = src;
-  std::uint8_t in_port = 0;
-  while (at != dst) {
-    ChannelId c;
-    if (net.is_terminal(at)) {
-      c = tables.port_channel[at].at(0);
-    } else {
-      const std::uint8_t port = tables.lft[at].at(dlid);
-      NUE_CHECK_MSG(port != kInvalidPort,
-                    "LFT hole at node " << at << " toward LID " << dlid);
-      c = tables.port_channel[at].at(port);
-    }
-    NUE_CHECK(net.channel_alive(c));
-    path.push_back(c);
-    in_port = 0;  // tracked for SL2VL fidelity; identity maps ignore it
-    at = net.dst(c);
+  for (NodeId at = src; at != dst; at = net.dst(path.back())) {
+    path.push_back(compiled_hop(net, tables, at, dlid));
     NUE_CHECK_MSG(path.size() <= net.num_nodes(), "LFT loop");
   }
-  (void)in_port;
   return path;
 }
 
 bool verify_compiled(const Network& net, const RoutingResult& rr,
                      const IbTables& tables) {
+  // Per column: if every settled (node, lane class) of the routing
+  // function's walks takes the same channel and VL in the compiled state,
+  // then by induction along each path every terminal's compiled route
+  // equals its routed one.
+  const std::vector<NodeId> terminals = net.terminals();
+  const bool sl_lanes = tables.vl_by_dest.empty();
+  ColumnPass pass(net, rr, rr.num_vls() + 1, rr.num_vls());
+  std::vector<int> class_sl(rr.num_vls() + 1);
   for (std::size_t di = 0; di < rr.destinations().size(); ++di) {
     const NodeId d = rr.destinations()[di];
     if (!net.node_alive(d)) continue;
-    for (NodeId s : net.terminals()) {
-      if (s == d) continue;
-      const auto expect = rr.trace(net, s, d);
-      const auto got = ib_walk(net, tables, s, d);
-      if (expect != got) return false;
-      // VL fidelity: recompute per hop.
-      const Lid dlid = tables.lid_of_node[d];
-      for (const ChannelId c : got) {
-        const NodeId at = net.src(c);
-        const std::uint8_t want = rr.vl(at, s, static_cast<std::uint32_t>(di));
-        std::uint8_t have;
-        if (!tables.vl_by_dest.empty() && net.is_switch(at) &&
-            !tables.vl_by_dest[at].empty()) {
-          have = tables.vl_by_dest[at][dlid];
-        } else if (!tables.vl_by_dest.empty()) {
-          have = want;  // terminal hop of a per-hop scheme: VL immaterial
-        } else {
-          const std::uint8_t sl = tables.sl[s][dlid];
-          have = tables.sl2vl[at][0][sl];
-        }
-        if (have != want) return false;
+    const auto di32 = static_cast<std::uint32_t>(di);
+    const Lid dlid = tables.lid_of_node[d];
+    pass.run(di32, terminals);
+    for (const auto& [at, s] : pass.visits()) {
+      const ColumnPass::End end = pass.end(s);
+      NUE_CHECK_MSG(
+          end != ColumnPass::End::kHole && end != ColumnPass::End::kLoop,
+          "no loop-free route " << s << " -> " << d);
+      NUE_CHECK(dlid != kInvalidLid);
+      if (compiled_hop(net, tables, at, dlid) != rr.next(at, di32)) {
+        return false;
       }
+      const std::uint8_t want = rr.vl(at, s, di32);
+      std::uint8_t have;
+      if (!sl_lanes && net.is_switch(at) && !tables.vl_by_dest[at].empty()) {
+        have = tables.vl_by_dest[at][dlid];
+      } else if (!sl_lanes) {
+        have = want;  // terminal hop of a per-hop scheme: VL immaterial
+      } else {
+        have = tables.sl2vl[at][0][tables.sl[s][dlid]];
+      }
+      if (have != want) return false;
+    }
+    if (!sl_lanes) continue;
+    // The walks checked each lane class with its first terminal's SL; the
+    // class's other terminals must inject with that same SL.
+    std::fill(class_sl.begin(), class_sl.end(), -1);
+    for (NodeId s : terminals) {
+      if (s == d) continue;
+      int& sl = class_sl[pass.lane_class(s)];
+      if (sl < 0) sl = tables.sl[s][dlid];
+      if (sl != tables.sl[s][dlid]) return false;
     }
   }
   return true;

@@ -76,6 +76,12 @@ std::vector<ChannelId> ib_walk(const Network& net, const IbTables& tables,
 
 /// Cross-check: every (terminal source, destination) pair must traverse
 /// exactly the same channels and VLs as the original routing function.
+/// Checked once per column with ColumnPass: each (node, lane class) the
+/// routed walks settle must take the routed channel and VL in the
+/// compiled state, and for SL-resolved lanes all terminals of one lane
+/// class must inject with the same SL. Throws where trace() or ib_walk()
+/// would: a route that is broken in the routing function, an LFT hole,
+/// or a dead port on a route.
 bool verify_compiled(const Network& net, const RoutingResult& rr,
                      const IbTables& tables);
 

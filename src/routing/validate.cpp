@@ -4,207 +4,31 @@
 #include <sstream>
 
 #include "telemetry/telemetry.hpp"
-#include "util/error.hpp"
 
 namespace nue {
 
 namespace {
 
-enum class WalkEnd : std::uint8_t {
-  kReached,      // arrived at the destination
-  kHole,         // missing/foreign table entry
-  kDeadChannel,  // entry points at a failed channel (stale table)
-  kLoop,         // exceeded the hop bound
-};
+using Adjacency = std::vector<std::vector<std::uint32_t>>;
 
-/// Walk the route src -> dst, invoking cb(channel, vl) per hop taken.
-/// Stops (without invoking cb for the offending hop) on a table hole, a
-/// dead channel, or a loop; dependencies emitted before the stop are the
-/// resources in-flight packets can actually occupy, so callers keep them.
-template <typename Cb>
-WalkEnd walk(const Network& net, const RoutingResult& rr, NodeId src,
-             std::uint32_t dest_idx, NodeId dst, Cb&& cb) {
-  NodeId at = src;
-  std::size_t hops = 0;
-  while (at != dst) {
-    const ChannelId c = rr.next(at, dest_idx);
-    if (c == kInvalidChannel || net.src(c) != at) return WalkEnd::kHole;
-    if (!net.channel_alive(c)) return WalkEnd::kDeadChannel;
-    cb(c, rr.vl(at, src, dest_idx));
-    at = net.dst(c);
-    if (++hops > net.num_nodes()) return WalkEnd::kLoop;
-  }
-  return WalkEnd::kReached;
+void add_edges(Adjacency& adj, const std::vector<ColumnPass::Edge>& edges) {
+  for (const auto& [from, to] : edges) adj[from].push_back(to);
 }
 
-}  // namespace
-
-std::vector<std::vector<std::uint32_t>> induced_cdg(
-    const Network& net, const RoutingResult& rr,
-    const std::vector<NodeId>& sources) {
-  // Slot num_vls of every channel is the overflow vertex: all out-of-range
-  // VLs land there, so a broken table can neither alias onto a legal
-  // (channel, VL) dependency (fabricating a cycle that no legal resource
-  // pair has) nor hide behind one. validate_routing still reports the
-  // breakage itself via vl_in_range.
-  const std::uint32_t stride = rr.num_vls() + 1;
-  const std::size_t v = net.num_channels() * stride;
-  std::vector<std::vector<std::uint32_t>> adj(v);
-  // Parallel edges are NOT deduplicated: the cycle check visits every
-  // adjacency entry once either way, and hashing each emitted dependency
-  // used to dominate the whole validation pass.
-  for (std::size_t di = 0; di < rr.destinations().size(); ++di) {
-    const NodeId d = rr.destinations()[di];
-    for (NodeId s : sources) {
-      if (s == d || !net.node_alive(s)) continue;
-      std::uint32_t prev = static_cast<std::uint32_t>(-1);
-      walk(net, rr, s, static_cast<std::uint32_t>(di), d,
-           [&](ChannelId c, std::uint8_t vl) {
-             const std::uint32_t slot =
-                 vl < rr.num_vls() ? vl : rr.num_vls();
-             const auto cur =
-                 static_cast<std::uint32_t>(c * stride + slot);
-             if (prev != static_cast<std::uint32_t>(-1)) {
-               adj[prev].push_back(cur);
-             }
-             prev = cur;
-           });
-    }
-  }
-  return adj;
-}
-
-bool is_acyclic(const std::vector<std::vector<std::uint32_t>>& adj) {
-  // Iterative three-color DFS.
-  const std::size_t n = adj.size();
-  std::vector<std::uint8_t> color(n, 0);  // 0 white, 1 gray, 2 black
-  std::vector<std::pair<std::uint32_t, std::size_t>> stack;
-  for (std::uint32_t start = 0; start < n; ++start) {
-    if (color[start] != 0) continue;
-    stack.clear();
-    stack.emplace_back(start, 0);
-    color[start] = 1;
-    while (!stack.empty()) {
-      auto& [v, i] = stack.back();
-      if (i < adj[v].size()) {
-        const std::uint32_t w = adj[v][i++];
-        if (color[w] == 1) return false;  // back edge -> cycle
-        if (color[w] == 0) {
-          color[w] = 1;
-          stack.emplace_back(w, 0);
-        }
-      } else {
-        color[v] = 2;
-        stack.pop_back();
-      }
-    }
-  }
-  return true;
-}
-
-namespace {
-
-/// The per-destination walk checks shared by validate_routing and
-/// validate_columns: walks every source to destination `di`, folding
-/// reachability, node revisits, VL sanity, liveness, and path-length
-/// accounting into `rep`. `visited` is caller-owned all-zero scratch
-/// (returned all-zero).
-void validate_dest_walks(const Network& net, const RoutingResult& rr,
-                         std::uint32_t di, const std::vector<NodeId>& sources,
-                         std::vector<std::uint8_t>& visited,
-                         ValidationReport& rep, std::uint64_t& total_len) {
-  const NodeId d = rr.destinations()[di];
-  if (!net.node_alive(d)) {
-    // Stale table: it still routes toward a destination the fabric has
-    // lost. The walks below would fail anyway (the channels into a dead
-    // node die with it) — flag the root cause instead.
-    if (rep.live_elements) {
-      std::ostringstream os;
-      os << "table routes to removed destination " << d;
-      rep.detail = os.str();
-    }
-    rep.live_elements = false;
-    return;
-  }
-  for (NodeId s : sources) {
-    if (s == d || !net.node_alive(s)) continue;
-    std::size_t len = 0;
-    std::vector<NodeId> touched{s};
-    visited[s] = 1;
-    bool node_revisited = false;
-    const WalkEnd end = walk(net, rr, s, di, d,
-                             [&](ChannelId c, std::uint8_t vl) {
-                               ++len;
-                               const NodeId w = net.dst(c);
-                               if (visited[w]) node_revisited = true;
-                               visited[w] = 1;
-                               touched.push_back(w);
-                               if (vl >= rr.num_vls()) rep.vl_in_range = false;
-                             });
-    for (NodeId v : touched) visited[v] = 0;
-    if (end == WalkEnd::kDeadChannel) {
-      if (rep.live_elements && rep.detail.empty()) {
-        std::ostringstream os;
-        os << "route " << s << " -> " << d << " crosses a dead channel";
-        rep.detail = os.str();
-      }
-      rep.live_elements = false;
-    }
-    if (end != WalkEnd::kReached) {
-      if (rep.connected && rep.detail.empty()) {
-        std::ostringstream os;
-        os << "no complete route " << s << " -> " << d;
-        rep.detail = os.str();
-      }
-      rep.connected = false;
-      continue;
-    }
-    if (node_revisited) {
-      rep.cycle_free = false;
-      if (rep.detail.empty()) {
-        std::ostringstream os;
-        os << "route " << s << " -> " << d << " revisits a node";
-        rep.detail = os.str();
-      }
-    }
-    ++rep.num_paths;
-    total_len += len;
-    rep.max_path_length = std::max(rep.max_path_length, len);
-  }
-}
-
-}  // namespace
-
-ValidationReport validate_routing(const Network& net, const RoutingResult& rr,
-                                  std::vector<NodeId> sources) {
-  TELEM_SPAN("validate.routing");
-  if (sources.empty()) sources = net.terminals();
+/// The per-column checks behind validate_routing and validate_columns,
+/// folded source by source so `detail` names the first failing route.
+/// Each column's dependencies are appended to `cdg` when one is given:
+/// its vertex space is channel * (num_vls + 1) + slot, slot num_vls the
+/// overflow vertex, so an out-of-range VL can neither alias onto a legal
+/// (channel, VL) dependency (fabricating a cycle no legal resource pair
+/// has) nor hide behind one; vl_in_range reports the breakage itself.
+ValidationReport check_columns(const Network& net, const RoutingResult& rr,
+                               const std::vector<NodeId>& dests,
+                               const std::vector<NodeId>& sources,
+                               Adjacency* cdg) {
   ValidationReport rep;
-  std::vector<std::uint8_t> visited(net.num_nodes(), 0);
   std::uint64_t total_len = 0;
-  for (std::size_t di = 0; di < rr.destinations().size(); ++di) {
-    validate_dest_walks(net, rr, static_cast<std::uint32_t>(di), sources,
-                        visited, rep, total_len);
-  }
-  if (rep.num_paths > 0) {
-    rep.avg_path_length =
-        static_cast<double>(total_len) / static_cast<double>(rep.num_paths);
-  }
-  rep.deadlock_free = is_acyclic(induced_cdg(net, rr, sources));
-  if (!rep.deadlock_free && rep.detail.empty()) {
-    rep.detail = "induced CDG has a cycle";
-  }
-  return rep;
-}
-
-ValidationReport validate_columns(const Network& net, const RoutingResult& rr,
-                                  const std::vector<NodeId>& dests,
-                                  std::vector<NodeId> sources) {
-  TELEM_SPAN("validate.columns");
-  if (sources.empty()) sources = net.terminals();
-  ValidationReport rep;
-  std::vector<std::uint8_t> visited(net.num_nodes(), 0);
-  std::uint64_t total_len = 0;
+  ColumnPass pass(net, rr, rr.num_vls() + 1, rr.num_vls());
   for (NodeId d : dests) {
     const std::uint32_t di = rr.dest_index(d);
     if (di == RoutingResult::kNoDest) {
@@ -216,13 +40,178 @@ ValidationReport validate_columns(const Network& net, const RoutingResult& rr,
       rep.connected = false;
       continue;
     }
-    validate_dest_walks(net, rr, di, sources, visited, rep, total_len);
+    pass.run(di, sources);
+    if (cdg != nullptr) add_edges(*cdg, pass.edges());
+    if (!net.node_alive(d)) {
+      // Stale table: it still routes toward a destination the fabric has
+      // lost. Its routes would fail anyway (the channels into a dead node
+      // die with it) — flag the root cause instead.
+      if (rep.live_elements) {
+        std::ostringstream os;
+        os << "table routes to removed destination " << d;
+        rep.detail = os.str();
+      }
+      rep.live_elements = false;
+      continue;
+    }
+    if (pass.vl_out_of_range()) rep.vl_in_range = false;
+    for (NodeId s : sources) {
+      if (s == d || !net.node_alive(s)) continue;
+      const ColumnPass::End end = pass.end(s);
+      if (end == ColumnPass::End::kDeadChannel) {
+        if (rep.live_elements && rep.detail.empty()) {
+          std::ostringstream os;
+          os << "route " << s << " -> " << d << " crosses a dead channel";
+          rep.detail = os.str();
+        }
+        rep.live_elements = false;
+      }
+      if (end != ColumnPass::End::kReached) {
+        if (rep.connected && rep.detail.empty()) {
+          std::ostringstream os;
+          os << "no complete route " << s << " -> " << d;
+          rep.detail = os.str();
+        }
+        rep.connected = false;
+        continue;
+      }
+      const std::size_t len = pass.depth(s);
+      ++rep.num_paths;
+      total_len += len;
+      rep.max_path_length = std::max(rep.max_path_length, len);
+    }
   }
   if (rep.num_paths > 0) {
     rep.avg_path_length =
         static_cast<double>(total_len) / static_cast<double>(rep.num_paths);
   }
   return rep;
+}
+
+}  // namespace
+
+ColumnPass::ColumnPass(const Network& net, const RoutingResult& rr,
+                       std::uint32_t stride, std::uint32_t lane_limit)
+    : net_(net),
+      rr_(rr),
+      stride_(stride),
+      lane_limit_(lane_limit),
+      classes_(rr.vl_mode() == VlMode::kPerSource ? stride : 1),
+      state_(net.num_nodes() * classes_, kUnseen),
+      depth_(net.num_nodes() * classes_, 0) {}
+
+void ColumnPass::run(std::uint32_t di, const std::vector<NodeId>& sources) {
+  for (const Visit& v : visits_) {
+    state_[idx(v.node, lane_class(v.source))] = kUnseen;  // old column's class
+  }
+  visits_.clear();
+  edges_.clear();
+  vl_out_of_range_ = false;
+  di_ = di;
+  dest_ = rr_.destinations()[di];
+  for (NodeId s : sources) {
+    if (s != dest_ && net_.node_alive(s) &&
+        state_[idx(s, lane_class(s))] == kUnseen) {
+      walk(s);
+    }
+  }
+}
+
+void ColumnPass::walk(NodeId s) {
+  const std::uint32_t k = lane_class(s);
+  const std::size_t first = visits_.size();
+  End end = End::kReached;
+  std::uint32_t depth = 0;
+  for (NodeId v = s; v != dest_;) {
+    const std::size_t i = idx(v, k);
+    if (state_[i] != kUnseen) {  // this walk's loop, or an earlier walk's end
+      end = state_[i] == kOnWalk ? End::kLoop : state_[i];
+      depth = depth_[i];
+      break;
+    }
+    state_[i] = kOnWalk;
+    visits_.push_back({v, s});
+    const ChannelId c = rr_.next(v, di_);
+    if (c == kInvalidChannel || net_.src(c) != v) {
+      end = End::kHole;
+      break;
+    }
+    if (!net_.channel_alive(c)) {
+      end = End::kDeadChannel;
+      break;
+    }
+    const std::uint8_t vl = rr_.vl(v, s, di_);
+    if (vl >= rr_.num_vls()) vl_out_of_range_ = true;
+    const NodeId u = net_.dst(c);
+    if (u != dest_) {  // the dependency on u's hop, if u takes one
+      const ChannelId c2 = rr_.next(u, di_);
+      if (c2 != kInvalidChannel && net_.src(c2) == u &&
+          net_.channel_alive(c2)) {
+        edges_.emplace_back(c * stride_ + slot(vl),
+                            c2 * stride_ + slot(rr_.vl(u, s, di_)));
+      }
+    }
+    v = u;
+  }
+  for (std::size_t j = visits_.size(); j-- > first;) {
+    const std::size_t i = idx(visits_[j].node, k);
+    state_[i] = end;
+    depth_[i] = ++depth;
+  }
+}
+
+std::vector<std::vector<std::uint32_t>> induced_cdg(
+    const Network& net, const RoutingResult& rr,
+    const std::vector<NodeId>& sources) {
+  Adjacency adj(net.num_channels() * (rr.num_vls() + 1));
+  check_columns(net, rr, rr.destinations(), sources, &adj);
+  return adj;
+}
+
+bool is_acyclic(const std::vector<std::vector<std::uint32_t>>& adj,
+                std::vector<std::uint32_t>* topo_pos) {
+  const std::size_t n = adj.size();
+  std::vector<std::uint32_t> indeg(n, 0);
+  for (const auto& out : adj) {
+    for (std::uint32_t w : out) ++indeg[w];
+  }
+  std::vector<std::uint32_t> queue;
+  queue.reserve(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (indeg[v] == 0) queue.push_back(v);
+  }
+  std::size_t head = 0;
+  while (head < queue.size()) {
+    const std::uint32_t v = queue[head];
+    if (topo_pos != nullptr) (*topo_pos)[v] = static_cast<std::uint32_t>(head);
+    ++head;
+    for (std::uint32_t w : adj[v]) {
+      if (--indeg[w] == 0) queue.push_back(w);
+    }
+  }
+  return head == n;
+}
+
+ValidationReport validate_routing(const Network& net, const RoutingResult& rr,
+                                  std::vector<NodeId> sources) {
+  TELEM_SPAN("validate.routing");
+  if (sources.empty()) sources = net.terminals();
+  Adjacency adj(net.num_channels() * (rr.num_vls() + 1));
+  ValidationReport rep =
+      check_columns(net, rr, rr.destinations(), sources, &adj);
+  rep.deadlock_free = is_acyclic(adj);
+  if (!rep.deadlock_free && rep.detail.empty()) {
+    rep.detail = "induced CDG has a cycle";
+  }
+  return rep;
+}
+
+ValidationReport validate_columns(const Network& net, const RoutingResult& rr,
+                                  const std::vector<NodeId>& dests,
+                                  std::vector<NodeId> sources) {
+  TELEM_SPAN("validate.columns");
+  if (sources.empty()) sources = net.terminals();
+  return check_columns(net, rr, dests, sources, nullptr);
 }
 
 std::vector<NodeId> affected_destinations(const Network& net,
@@ -247,96 +236,27 @@ std::vector<NodeId> affected_destinations(const Network& net,
   return affected;
 }
 
-namespace {
-
-/// (channel, VL)-vertex dependency accumulator shared by the two tables
-/// of a union-CDG check. Slot stride-1 is the common overflow vertex for
-/// out-of-range VLs (same aliasing argument as induced_cdg). Parallel
-/// edges are kept — the cycle check is linear in the adjacency either
-/// way, and per-edge dedup hashing used to dominate the transition gate.
-struct CdgAccum {
-  explicit CdgAccum(std::size_t num_channels, std::uint32_t stride)
-      : stride(stride), adj(num_channels * stride) {}
-
-  void edge(std::uint32_t prev, std::uint32_t cur) {
-    adj[prev].push_back(cur);
-  }
-
-  std::uint32_t slot(const RoutingResult& rr, std::uint8_t vl) const {
-    return vl < rr.num_vls() ? vl : stride - 1;
-  }
-
-  std::uint32_t stride;
-  std::vector<std::vector<std::uint32_t>> adj;
-};
-
-/// Column-derived dependencies for VL schemes where the lane at a node
-/// does not depend on the packet's source (kPerDest, kPerHop): every pair
-/// of consecutive alive hops of a forwarding column is a dependency,
-/// regardless of which source drives it — O(nodes) per destination and a
-/// superset of the terminal-sourced walks.
-void accumulate_column_deps(const Network& net, const RoutingResult& rr,
-                            CdgAccum& acc) {
-  for (std::size_t di = 0; di < rr.destinations().size(); ++di) {
-    const NodeId d = rr.destinations()[di];
-    const auto di32 = static_cast<std::uint32_t>(di);
-    for (NodeId v = 0; v < net.num_nodes(); ++v) {
-      if (v == d || !net.node_alive(v)) continue;
-      const ChannelId c = rr.next(v, di32);
-      if (c == kInvalidChannel || net.src(c) != v || !net.channel_alive(c)) {
-        continue;  // stale/hole entry: no resource can be requested here
-      }
-      const NodeId u = net.dst(c);
-      if (u == d || !net.node_alive(u)) continue;
-      const ChannelId c2 = rr.next(u, di32);
-      if (c2 == kInvalidChannel || net.src(c2) != u ||
-          !net.channel_alive(c2)) {
-        continue;
-      }
-      acc.edge(c * acc.stride + acc.slot(rr, rr.vl(v, v, di32)),
-               c2 * acc.stride + acc.slot(rr, rr.vl(u, u, di32)));
-    }
-  }
-}
-
-/// Exact per-(source, destination) walks for per-source VL schemes, with
-/// stale-tolerant prefixes (walk stops at dead channels, emitted
-/// dependencies stay).
-void accumulate_pair_deps(const Network& net, const RoutingResult& rr,
-                          const std::vector<NodeId>& sources, CdgAccum& acc) {
-  for (std::size_t di = 0; di < rr.destinations().size(); ++di) {
-    const NodeId d = rr.destinations()[di];
-    for (NodeId s : sources) {
-      if (s == d || !net.node_alive(s)) continue;
-      std::uint32_t prev = static_cast<std::uint32_t>(-1);
-      walk(net, rr, s, static_cast<std::uint32_t>(di), d,
-           [&](ChannelId c, std::uint8_t vl) {
-             const auto cur = c * acc.stride + acc.slot(rr, vl);
-             if (prev != static_cast<std::uint32_t>(-1)) acc.edge(prev, cur);
-             prev = cur;
-           });
-    }
-  }
-}
-
-}  // namespace
-
 bool union_cdg_acyclic(const Network& net, const RoutingResult& old_rr,
                        const RoutingResult& new_rr,
                        std::vector<NodeId> sources) {
   TELEM_SPAN("validate.union_gate");
+  // Both tables share one vertex space; slot stride-1 is the common
+  // overflow vertex for out-of-range VLs (see induced_cdg).
   const std::uint32_t stride =
       std::max(old_rr.num_vls(), new_rr.num_vls()) + 1;
-  CdgAccum acc(net.num_channels(), stride);
+  Adjacency adj(net.num_channels() * stride);
+  std::vector<NodeId> alive;
   for (const RoutingResult* rr : {&old_rr, &new_rr}) {
-    if (rr->vl_mode() == VlMode::kPerSource) {
-      if (sources.empty()) sources = net.terminals();
-      accumulate_pair_deps(net, *rr, sources, acc);
-    } else {
-      accumulate_column_deps(net, *rr, acc);
+    const bool per_source = rr->vl_mode() == VlMode::kPerSource;
+    if (per_source && sources.empty()) sources = net.terminals();
+    if (!per_source && alive.empty()) alive = net.alive_nodes();
+    ColumnPass pass(net, *rr, stride, rr->num_vls());
+    for (std::size_t di = 0; di < rr->destinations().size(); ++di) {
+      pass.run(static_cast<std::uint32_t>(di), per_source ? sources : alive);
+      add_edges(adj, pass.edges());
     }
   }
-  return is_acyclic(acc.adj);
+  return is_acyclic(adj);
 }
 
 }  // namespace nue

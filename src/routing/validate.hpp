@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/network.hpp"
@@ -15,7 +16,11 @@ namespace nue {
 
 struct ValidationReport {
   bool connected = true;        // every source reaches every destination
-  bool cycle_free = true;       // no path visits a node twice
+  /// No path visits a node twice. On a destination-based table a route
+  /// that reaches its destination cannot revisit a node (a revisit
+  /// repeats forever), so a forwarding loop is reported as
+  /// connected=false and this stays true.
+  bool cycle_free = true;
   bool deadlock_free = true;    // induced CDG over (channel, VL) is acyclic
   bool vl_in_range = true;      // all VLs < num_vls
   /// Stale-table detection: false when the table routes to a destination
@@ -53,21 +58,93 @@ ValidationReport validate_columns(const Network& net, const RoutingResult& rr,
                                   std::vector<NodeId> sources = {});
 
 /// Induced channel dependency graph of `rr` over (channel, VL) vertices
-/// (vertex id = channel * (num_vls + 1) + vl), as an adjacency list (a
-/// dependency exercised by several pairs appears once per walk — parallel
-/// edges do not affect the acyclicity check and deduplicating them is
-/// what used to dominate the cost of this pass). Slot num_vls of each
-/// channel is a dedicated overflow vertex: hops
-/// whose VL is out of range land there instead of being clamped onto a
-/// legal layer, so a broken table can never alias onto (or hide behind) a
-/// legal dependency. Only dependencies exercised by (src in sources) ->
-/// (dst in destinations) traffic are included, mirroring Definition 4.
+/// (vertex id = channel * (num_vls + 1) + vl), as an adjacency list. Each
+/// dependency appears at most once per column and lane class (ColumnPass);
+/// repeats across columns do not affect acyclicity. Slot num_vls of each
+/// channel is a dedicated overflow vertex: hops whose VL is out of range
+/// land there instead of being clamped onto a legal layer, so a broken
+/// table can never alias onto (or hide behind) a legal dependency. Only
+/// dependencies exercised by (src in sources) -> (dst in destinations)
+/// traffic are included, mirroring Definition 4.
 std::vector<std::vector<std::uint32_t>> induced_cdg(
     const Network& net, const RoutingResult& rr,
     const std::vector<NodeId>& sources);
 
-/// True if the directed graph given as adjacency lists is acyclic.
-bool is_acyclic(const std::vector<std::vector<std::uint32_t>>& adj);
+/// True if the directed graph given as adjacency lists is acyclic
+/// (Kahn's algorithm). When `topo_pos` is given (sized like `adj`), it
+/// receives each vertex's position in a topological order; after a false
+/// return only the vertices outside every cycle's reach are filled.
+bool is_acyclic(const std::vector<std::vector<std::uint32_t>>& adj,
+                std::vector<std::uint32_t>* topo_pos = nullptr);
+
+/// One memoized pass over a forwarding column. Definition 3 makes every
+/// column an in-tree toward its destination, so what Definition 4 and
+/// Theorem 1 ask of a route (it arrives, its lanes are in range, and the
+/// (channel, VL) dependencies it exercises) is decided per column: each
+/// walk stops at the first node an earlier walk settled, so every (node,
+/// lane class) is visited once. The lane class is the source's lane slot
+/// for kPerSource tables (a packet keeps its injection VL) and a single
+/// class otherwise. A hole (missing or foreign entry) or a dead channel
+/// ends a walk; the hops before it still count — they are resources an
+/// in-flight packet can hold. Dependency vertices are channel * stride +
+/// slot; a VL at or above `lane_limit` lands on the overflow slot
+/// stride - 1.
+class ColumnPass {
+ public:
+  enum class End : std::uint8_t { kReached, kHole, kDeadChannel, kLoop };
+  struct Visit {
+    NodeId node;
+    NodeId source;  // whose walk settled `node`
+  };
+  using Edge = std::pair<std::uint32_t, std::uint32_t>;
+
+  ColumnPass(const Network& net, const RoutingResult& rr, std::uint32_t stride,
+             std::uint32_t lane_limit);
+
+  /// Walk column `di` from every alive source other than its destination,
+  /// in order, replacing the previous run's results.
+  void run(std::uint32_t di, const std::vector<NodeId>& sources);
+
+  std::uint32_t lane_class(NodeId s) const {
+    return rr_.vl_mode() == VlMode::kPerSource ? slot(rr_.vl(s, s, di_)) : 0;
+  }
+  /// How the route from a source of the last run ends, and (for
+  /// kReached) its hop count.
+  End end(NodeId s) const { return state_[idx(s, lane_class(s))]; }
+  std::uint32_t depth(NodeId s) const { return depth_[idx(s, lane_class(s))]; }
+  /// Settled nodes source by source, each walk's new prefix in path order.
+  const std::vector<Visit>& visits() const { return visits_; }
+  /// The column's dependencies, each once per lane class.
+  const std::vector<Edge>& edges() const { return edges_; }
+  /// True if some hop of the last run used a VL >= rr.num_vls().
+  bool vl_out_of_range() const { return vl_out_of_range_; }
+
+ private:
+  // Memo states besides the End values: not yet seen, on the open walk.
+  static constexpr End kUnseen = static_cast<End>(4);
+  static constexpr End kOnWalk = static_cast<End>(5);
+
+  std::size_t idx(NodeId v, std::uint32_t k) const {
+    return static_cast<std::size_t>(v) * classes_ + k;
+  }
+  std::uint32_t slot(std::uint8_t vl) const {
+    return vl < lane_limit_ ? vl : stride_ - 1;
+  }
+  void walk(NodeId s);
+
+  const Network& net_;
+  const RoutingResult& rr_;
+  std::uint32_t stride_;
+  std::uint32_t lane_limit_;
+  std::uint32_t classes_;
+  std::uint32_t di_ = 0;
+  NodeId dest_ = kInvalidNode;
+  std::vector<End> state_;  // per (node, lane class)
+  std::vector<std::uint32_t> depth_;
+  std::vector<Visit> visits_;
+  std::vector<Edge> edges_;
+  bool vl_out_of_range_ = false;
+};
 
 // --- runtime reconfiguration helpers ----------------------------------------
 
@@ -87,10 +164,10 @@ std::vector<NodeId> affected_destinations(const Network& net,
 /// induced CDGs to be acyclic, not merely each on its own. Walks tolerate
 /// the old table's stale entries — a route stops at a dead channel, its
 /// prefix dependencies (resources packets can actually occupy) still
-/// count. For per-destination and per-hop VL schemes the dependencies are
-/// derived per forwarding column in O(nodes), a conservative superset of
-/// the terminal-sourced Definition 4 set; per-source tables fall back to
-/// exact per-pair walks.
+/// count. Per-destination and per-hop VL columns are walked from every
+/// alive node, a conservative superset of the terminal-sourced
+/// Definition 4 set; per-source columns are walked from `sources`
+/// (default: all alive terminals).
 bool union_cdg_acyclic(const Network& net, const RoutingResult& old_rr,
                        const RoutingResult& new_rr,
                        std::vector<NodeId> sources = {});

@@ -68,10 +68,10 @@ void write_fabric(std::ostream& os, const Network& net) {
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
     if (!net.node_alive(v)) continue;
     if (net.is_switch(v)) {
-      name[v] = "s" + std::to_string(nsw++);
+      name[v] = 's' + std::to_string(nsw++);
       os << "switch " << name[v] << "\n";
     } else {
-      name[v] = "t" + std::to_string(nterm++);
+      name[v] = 't' + std::to_string(nterm++);
     }
   }
   for (NodeId v = 0; v < net.num_nodes(); ++v) {

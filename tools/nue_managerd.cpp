@@ -4,7 +4,7 @@
 // stream (src/resilience), and serve route queries, table dumps, and
 // status over line-delimited JSON on a Unix-domain socket.
 //
-//   nue_managerd --socket /tmp/nue.sock \
+//   nue_managerd --socket /tmp/nue.sock
 //       --load "a=torus:4x4:1@nue:2;b=random:20:50:2@dfsssp:8"
 //
 // --load grammar: semicolon-separated shards, each

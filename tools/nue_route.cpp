@@ -13,7 +13,7 @@
 //       replay a recorded fault/repair trace through the resilience
 //       manager (the fabric regenerates from the trace's own generator
 //       spec unless --generate/--topology overrides it)
-//   nue_route --generate torus:4x4:2 --fault-events 12 \
+//   nue_route --generate torus:4x4:2 --fault-events 12
 //             --fault-trace-out run.trace --reconfig-json out.json
 //       draw a random event stream, replay it live, save the trace
 #include <fstream>
