@@ -4,7 +4,6 @@
 #include <functional>
 #include <iostream>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "routing/validate.hpp"
 #include "sim/flit_sim.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/json.hpp"
 #include "util/rss.hpp"
 #include "util/timer.hpp"
 
@@ -65,15 +65,15 @@ inline RoutingRun run_routing(const std::string& name,
 }
 
 /// JSON array of a run's phase aggregates, for the BENCH_*.json writers.
-inline void write_phases_json(std::ostream& os,
-                              const std::vector<PhaseTiming>& phases) {
-  os << "[";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    if (i) os << ", ";
-    os << "{\"name\": \"" << phases[i].name << "\", \"count\": "
-       << phases[i].count << ", \"total_ms\": " << phases[i].total_ms << "}";
+inline Json phases_json(const std::vector<PhaseTiming>& phases) {
+  Json out = Json::array();
+  for (const PhaseTiming& p : phases) {
+    out.push_back(Json::object()
+                      .set("name", p.name)
+                      .set("count", p.count)
+                      .set("total_ms", p.total_ms));
   }
-  os << "]";
+  return out;
 }
 
 /// Validate + simulate an all-to-all exchange; returns normalized

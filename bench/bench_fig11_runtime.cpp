@@ -36,6 +36,8 @@
 
 namespace {
 
+using nue::Json;
+
 struct JsonRecord {
   std::string topology;
   std::string engine;
@@ -67,22 +69,21 @@ std::vector<std::uint32_t> parse_thread_list(const std::string& s) {
 }
 
 void write_json(const std::string& path, const std::vector<JsonRecord>& recs) {
-  std::ofstream os(path);
-  os << "[\n";
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const auto& r = recs[i];
-    os << "  {\"topology\": \"" << r.topology << "\", \"engine\": \""
-       << r.engine << "\", \"threads\": " << r.threads
-       << ", \"wall_ms\": " << r.wall_ms
-       << ", \"applicable\": " << (r.applicable ? "true" : "false")
-       << ", \"faults_requested\": " << r.faults_requested
-       << ", \"faults_achieved\": " << r.faults_achieved;
-    if (r.peak_rss_mb) os << ", \"peak_rss_mb\": " << *r.peak_rss_mb;
-    os << ", \"phases\": ";
-    nue::bench::write_phases_json(os, r.phases);
-    os << "}" << (i + 1 < recs.size() ? "," : "") << "\n";
+  Json out = Json::array();
+  for (const auto& r : recs) {
+    Json j = Json::object();
+    j.set("topology", r.topology);
+    j.set("engine", r.engine);
+    j.set("threads", r.threads);
+    j.set("wall_ms", r.wall_ms);
+    j.set("applicable", r.applicable);
+    j.set("faults_requested", r.faults_requested);
+    j.set("faults_achieved", r.faults_achieved);
+    if (r.peak_rss_mb) j.set("peak_rss_mb", *r.peak_rss_mb);
+    j.set("phases", nue::bench::phases_json(r.phases));
+    out.push_back(std::move(j));
   }
-  os << "]\n";
+  std::ofstream(path) << out.dump() << "\n";
 }
 
 }  // namespace

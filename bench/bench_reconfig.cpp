@@ -46,7 +46,6 @@
 #include "resilience/resilience.hpp"
 #include "routing/dump.hpp"
 #include "routing/validate.hpp"
-#include "service/json.hpp"
 #include "service/service.hpp"
 #include "telemetry/cli.hpp"
 #include "telemetry/telemetry.hpp"
@@ -54,10 +53,13 @@
 #include "topology/generate.hpp"
 #include "topology/torus.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace {
+
+using nue::Json;
 
 double quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
@@ -81,26 +83,26 @@ struct TopoRecord {
 
 void write_json(const std::string& path, const std::vector<TopoRecord>& recs,
                 double overall) {
-  std::ofstream os(path);
-  os << "{\n  \"overall_speedup_median\": " << overall;
-  if (const auto rss = nue::peak_rss_mb()) {
-    os << ",\n  \"peak_rss_mb\": " << *rss;
+  Json out = Json::object();
+  out.set("overall_speedup_median", overall);
+  if (const auto rss = nue::peak_rss_mb()) out.set("peak_rss_mb", *rss);
+  Json topologies = Json::array();
+  for (const auto& r : recs) {
+    Json j = Json::object();
+    j.set("torus", r.torus);
+    j.set("events", r.events);
+    j.set("noops", r.noops);
+    j.set("hitless", r.hitless);
+    j.set("drained", r.drained);
+    j.set("median_incremental_ms", r.median_incremental_ms);
+    j.set("p99_repair_ms", r.p99_repair_ms);
+    j.set("median_full_ms", r.median_full_ms);
+    j.set("speedup_median", r.speedup_median);
+    j.set("phases", nue::bench::phases_json(r.phases));
+    topologies.push_back(std::move(j));
   }
-  os << ",\n  \"topologies\": [\n";
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const auto& r = recs[i];
-    os << "    {\"torus\": \"" << r.torus << "\", \"events\": " << r.events
-       << ", \"noops\": " << r.noops << ", \"hitless\": " << r.hitless
-       << ", \"drained\": " << r.drained
-       << ", \"median_incremental_ms\": " << r.median_incremental_ms
-       << ", \"p99_repair_ms\": " << r.p99_repair_ms
-       << ", \"median_full_ms\": " << r.median_full_ms
-       << ", \"speedup_median\": " << r.speedup_median
-       << ", \"phases\": ";
-    nue::bench::write_phases_json(os, r.phases);
-    os << "}" << (i + 1 < recs.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
+  out.set("topologies", std::move(topologies));
+  std::ofstream(path) << out.dump() << "\n";
 }
 
 // --- storm mode -------------------------------------------------------------
@@ -145,7 +147,6 @@ void measure_service_path(const std::string& topo,
                           const nue::FaultTrace& trace,
                           const nue::resilience::RepairPolicy& policy,
                           StormRecord& rec) {
-  using nue::service::Json;
   const nue::telemetry::EnabledScope telem_on(true);
   const auto before = request_us_buckets();
   nue::service::ManagerService svc;
@@ -260,32 +261,32 @@ StormRecord run_storm(const std::string& topo, std::size_t events,
 
 void write_storm_json(const std::string& path,
                       const std::vector<StormRecord>& recs) {
-  std::ofstream os(path);
-  os << "{\n";
-  if (const auto rss = nue::peak_rss_mb()) {
-    os << "  \"peak_rss_mb\": " << *rss << ",\n";
+  Json out = Json::object();
+  if (const auto rss = nue::peak_rss_mb()) out.set("peak_rss_mb", *rss);
+  Json storm = Json::array();
+  for (const auto& r : recs) {
+    Json j = Json::object();
+    j.set("topo", r.topo);
+    j.set("events", r.events);
+    j.set("transitions", r.transitions);
+    j.set("noops", r.noops);
+    j.set("hitless", r.hitless);
+    j.set("drains", r.drains);
+    j.set("wave_chains", r.wave_chains);
+    j.set("wave_commits", r.wave_commits);
+    j.set("max_chain_epochs", r.max_chain_epochs);
+    j.set("baseline_drains", r.baseline_drains);
+    j.set("p50_repair_ms", r.p50_repair_ms);
+    j.set("p99_repair_ms", r.p99_repair_ms);
+    j.set("events_per_sec", r.events_per_sec);
+    j.set("svc_p50_request_us", r.svc_p50_request_us);
+    j.set("svc_p99_request_us", r.svc_p99_request_us);
+    j.set("journal_entries_per_sec", r.journal_entries_per_sec);
+    j.set("resync_matches_offline", r.resync_matches_offline);
+    storm.push_back(std::move(j));
   }
-  os << "  \"storm\": [\n";
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const auto& r = recs[i];
-    os << "    {\"topo\": \"" << r.topo << "\", \"events\": " << r.events
-       << ", \"transitions\": " << r.transitions << ", \"noops\": " << r.noops
-       << ", \"hitless\": " << r.hitless << ", \"drains\": " << r.drains
-       << ", \"wave_chains\": " << r.wave_chains
-       << ", \"wave_commits\": " << r.wave_commits
-       << ", \"max_chain_epochs\": " << r.max_chain_epochs
-       << ", \"baseline_drains\": " << r.baseline_drains
-       << ", \"p50_repair_ms\": " << r.p50_repair_ms
-       << ", \"p99_repair_ms\": " << r.p99_repair_ms
-       << ", \"events_per_sec\": " << r.events_per_sec
-       << ", \"svc_p50_request_us\": " << r.svc_p50_request_us
-       << ", \"svc_p99_request_us\": " << r.svc_p99_request_us
-       << ", \"journal_entries_per_sec\": " << r.journal_entries_per_sec
-       << ", \"resync_matches_offline\": "
-       << (r.resync_matches_offline ? "true" : "false") << "}"
-       << (i + 1 < recs.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
+  out.set("storm", std::move(storm));
+  std::ofstream(path) << out.dump() << "\n";
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 
 namespace {
 
+using nue::Json;
 using nue::Network;
 
 struct ScaleCase {
@@ -118,28 +119,31 @@ struct ScaleRecord {
 
 void write_json(const std::string& path,
                 const std::vector<ScaleRecord>& recs) {
-  std::ofstream os(path);
-  os << "{\n  \"schema_version\": 1,\n  \"tool\": \"bench_scale\",\n";
-  if (const auto rss = nue::peak_rss_mb()) {
-    os << "  \"peak_rss_mb\": " << *rss << ",\n";
+  Json out = Json::object();
+  out.set("schema_version", 1);
+  out.set("tool", "bench_scale");
+  if (const auto rss = nue::peak_rss_mb()) out.set("peak_rss_mb", *rss);
+  Json records = Json::array();
+  for (const auto& r : recs) {
+    Json j = Json::object();
+    j.set("family", r.family);
+    j.set("topology", r.topology);
+    j.set("switches", r.switches);
+    j.set("terminals", r.terminals);
+    j.set("channels", r.channels);
+    j.set("dests", r.dests);
+    j.set("vls", r.vls);
+    j.set("threads", r.threads);
+    j.set("pivots", r.pivots);
+    j.set("build_ms", r.build_ms);
+    j.set("wall_ms", r.wall_ms);
+    j.set("valid", r.valid);
+    if (r.peak_rss_mb) j.set("peak_rss_mb", *r.peak_rss_mb);
+    j.set("phases", nue::bench::phases_json(r.phases));
+    records.push_back(std::move(j));
   }
-  os << "  \"records\": [\n";
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const auto& r = recs[i];
-    os << "    {\"family\": \"" << r.family << "\", \"topology\": \""
-       << r.topology << "\", \"switches\": " << r.switches
-       << ", \"terminals\": " << r.terminals
-       << ", \"channels\": " << r.channels << ", \"dests\": " << r.dests
-       << ", \"vls\": " << r.vls << ", \"threads\": " << r.threads
-       << ", \"pivots\": " << r.pivots << ", \"build_ms\": " << r.build_ms
-       << ", \"wall_ms\": " << r.wall_ms
-       << ", \"valid\": " << (r.valid ? "true" : "false");
-    if (r.peak_rss_mb) os << ", \"peak_rss_mb\": " << *r.peak_rss_mb;
-    os << ", \"phases\": ";
-    nue::bench::write_phases_json(os, r.phases);
-    os << "}" << (i + 1 < recs.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
+  out.set("records", std::move(records));
+  std::ofstream(path) << out.dump() << "\n";
 }
 
 }  // namespace

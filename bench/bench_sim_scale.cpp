@@ -121,42 +121,49 @@ void fill_from_sim(SimRecord& rec, const SimResult& res, double wall_ms) {
 }
 
 void write_json(const std::string& path, const std::vector<SimRecord>& recs) {
-  std::ofstream os(path);
-  os << "{\n  \"schema_version\": 1,\n  \"tool\": \"bench_sim_scale\",\n";
-  if (const auto rss = peak_rss_mb()) {
-    os << "  \"peak_rss_mb\": " << *rss << ",\n";
-  }
+  Json out = Json::object();
+  out.set("schema_version", 1);
+  out.set("tool", "bench_sim_scale");
+  if (const auto rss = peak_rss_mb()) out.set("peak_rss_mb", *rss);
   std::uint64_t total_events = 0;
   for (const auto& r : recs) total_events += r.events_processed;
-  os << "  \"total_events\": " << total_events << ",\n  \"records\": [\n";
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const auto& r = recs[i];
-    os << "    {\"engine\": \"" << r.engine << "\", \"workload\": \""
-       << r.workload << "\", \"topology\": \"" << r.topology
-       << "\", \"switches\": " << r.switches
-       << ", \"terminals\": " << r.terminals
-       << ", \"channels\": " << r.channels << ", \"dests\": " << r.dests
-       << ", \"vls\": " << r.vls << ", \"messages\": " << r.messages
-       << ", \"bytes\": " << r.bytes << ", \"status\": \"" << r.status
-       << "\", \"wall_ms\": " << r.wall_ms << ", \"cycles\": " << r.cycles
-       << ", \"events_processed\": " << r.events_processed
-       << ", \"queue_peak\": " << r.queue_peak
-       << ", \"events_per_sec\": " << r.events_per_sec
-       << ", \"delivered_packets\": " << r.delivered_packets
-       << ", \"delivered_bytes\": " << r.delivered_bytes;
-    if (r.peak_rss_mb) os << ", \"peak_rss_mb\": " << *r.peak_rss_mb;
-    os << ", \"spans\": [";
-    for (std::size_t s = 0; s < r.spans.size(); ++s) {
-      const auto& sp = r.spans[s];
-      if (s) os << ", ";
-      os << "{\"label\": \"" << sp.label << "\", \"start_cycle\": "
-         << sp.start_cycle << ", \"end_cycle\": " << sp.end_cycle
-         << ", \"messages\": " << sp.messages << ", \"bytes\": " << sp.bytes
-         << "}";
+  out.set("total_events", total_events);
+  Json records = Json::array();
+  for (const auto& r : recs) {
+    Json j = Json::object();
+    j.set("engine", r.engine);
+    j.set("workload", r.workload);
+    j.set("topology", r.topology);
+    j.set("switches", r.switches);
+    j.set("terminals", r.terminals);
+    j.set("channels", r.channels);
+    j.set("dests", r.dests);
+    j.set("vls", r.vls);
+    j.set("messages", r.messages);
+    j.set("bytes", r.bytes);
+    j.set("status", r.status);
+    j.set("wall_ms", r.wall_ms);
+    j.set("cycles", r.cycles);
+    j.set("events_processed", r.events_processed);
+    j.set("queue_peak", r.queue_peak);
+    j.set("events_per_sec", r.events_per_sec);
+    j.set("delivered_packets", r.delivered_packets);
+    j.set("delivered_bytes", r.delivered_bytes);
+    if (r.peak_rss_mb) j.set("peak_rss_mb", *r.peak_rss_mb);
+    Json spans = Json::array();
+    for (const auto& sp : r.spans) {
+      spans.push_back(Json::object()
+                          .set("label", sp.label)
+                          .set("start_cycle", sp.start_cycle)
+                          .set("end_cycle", sp.end_cycle)
+                          .set("messages", sp.messages)
+                          .set("bytes", sp.bytes));
     }
-    os << "]}" << (i + 1 < recs.size() ? "," : "") << "\n";
+    j.set("spans", std::move(spans));
+    records.push_back(std::move(j));
   }
-  os << "  ]\n}\n";
+  out.set("records", std::move(records));
+  std::ofstream(path) << out.dump() << "\n";
 }
 
 }  // namespace

@@ -30,7 +30,13 @@ TSAN_OPTIONS="halt_on_error=1" \
 cmake -B build-ubsan -S . -DSANITIZE=undefined
 cmake --build build-ubsan -j --target route_fuzz
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-  ./build-ubsan/tools/route_fuzz --smoke
+  ./build-ubsan/tools/route_fuzz --smoke --json build-ubsan/fuzz.json
+# The fuzz summary must be JSON and agree with the exit status above.
+python3 -c "
+import json
+s = json.load(open('build-ubsan/fuzz.json'))
+assert s['scenarios'] > 0 and s['violations'] == 0 and s['failures'] == [], s
+"
 
 # Live-reconfiguration smoke (docs/RESILIENCE.md): replay the committed
 # runtime fault trace through the resilience manager under ASan — the
@@ -43,7 +49,20 @@ cmake -B build-asan -S . -DSANITIZE=address
 cmake --build build-asan -j --target nue_route
 ASAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tools/nue_route \
-  --fault-trace tests/corpus/torus-4x4x3-runtime.trace --routing nue --vls 4
+  --fault-trace tests/corpus/torus-4x4x3-runtime.trace --routing nue --vls 4 \
+  --reconfig-json build-asan/replay.reconfig.json \
+  --metrics-out build-asan/replay.metrics.json
+# Both documents the replay wrote must parse; the run report must carry
+# the same reconfiguration log as its `reconfig` section.
+python3 -c "
+import json
+log = json.load(open('build-asan/replay.reconfig.json'))
+assert log['records'], 'empty reconfiguration log'
+"
+python3 scripts/validate_json.py scripts/schemas/run_report.schema.json \
+  build-asan/replay.metrics.json \
+  --nonzero reconfig/transitions \
+  --nonzero reconfig/records
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ./build-ubsan/tools/route_fuzz --reconfig --count 40
 

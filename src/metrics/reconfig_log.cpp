@@ -1,23 +1,8 @@
 #include "metrics/reconfig_log.hpp"
 
-#include <ostream>
-
 #include "util/stats.hpp"
 
 namespace nue {
-
-namespace {
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
-}
-
-}  // namespace
 
 ReconfigLog::Summary ReconfigLog::summarize() const {
   Summary s;
@@ -41,47 +26,44 @@ ReconfigLog::Summary ReconfigLog::summarize() const {
   return s;
 }
 
-void ReconfigLog::write_json(std::ostream& os) const {
+Json ReconfigLog::to_json() const {
   const Summary s = summarize();
-  os << "{\n  \"transitions\": " << s.transitions
-     << ",\n  \"noops\": " << s.noops << ",\n  \"hitless\": " << s.hitless
-     << ",\n  \"drained\": " << s.drained
-     << ",\n  \"waved\": " << s.waved
-     << ",\n  \"wave_commits\": " << s.wave_commits
-     << ",\n  \"evicted\": " << s.evicted
-     << ",\n  \"by_step\": {";
-  bool first_step = true;
-  for (const auto& [step, count] : s.by_step) {
-    if (!first_step) os << ", ";
-    first_step = false;
-    write_json_string(os, step);
-    os << ": " << count;
-  }
-  os << "},\n  \"median_repair_ms\": " << s.median_repair_ms
-     << ",\n  \"p99_repair_ms\": " << s.p99_repair_ms
-     << ",\n  \"max_repair_ms\": " << s.max_repair_ms
-     << ",\n  \"records\": [\n";
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const TransitionRecord& r = records_[i];
-    os << "    {\"epoch\": " << r.epoch << ", \"event\": ";
-    write_json_string(os, r.event);
-    os << ", \"affected_dests\": " << r.affected_dests
-       << ", \"total_dests\": " << r.total_dests << ", \"step\": ";
-    write_json_string(os, r.committed_step);
-    os << ", \"hitless\": " << (r.hitless ? "true" : "false")
-       << ", \"drained\": " << (r.drained ? "true" : "false");
+  Json j = Json::object();
+  j.set("transitions", s.transitions);
+  j.set("noops", s.noops);
+  j.set("hitless", s.hitless);
+  j.set("drained", s.drained);
+  j.set("waved", s.waved);
+  j.set("wave_commits", s.wave_commits);
+  j.set("evicted", s.evicted);
+  Json by_step = Json::object();
+  for (const auto& [step, count] : s.by_step) by_step.set(step, count);
+  j.set("by_step", std::move(by_step));
+  j.set("median_repair_ms", s.median_repair_ms);
+  j.set("p99_repair_ms", s.p99_repair_ms);
+  j.set("max_repair_ms", s.max_repair_ms);
+  Json records = Json::array();
+  for (const TransitionRecord& r : records_) {
+    Json rec = Json::object();
+    rec.set("epoch", r.epoch);
+    rec.set("event", r.event);
+    rec.set("affected_dests", r.affected_dests);
+    rec.set("total_dests", r.total_dests);
+    rec.set("step", r.committed_step);
+    rec.set("hitless", r.hitless);
+    rec.set("drained", r.drained);
     if (r.wave_count > 0) {
-      os << ", \"wave_index\": " << r.wave_index
-         << ", \"wave_count\": " << r.wave_count;
+      rec.set("wave_index", r.wave_index);
+      rec.set("wave_count", r.wave_count);
     }
-    os << ", \"repair_ms\": " << r.repair_ms << ", \"verdicts\": [";
-    for (std::size_t j = 0; j < r.verdicts.size(); ++j) {
-      if (j) os << ", ";
-      write_json_string(os, r.verdicts[j]);
-    }
-    os << "]}" << (i + 1 < records_.size() ? "," : "") << "\n";
+    rec.set("repair_ms", r.repair_ms);
+    Json verdicts = Json::array();
+    for (const std::string& v : r.verdicts) verdicts.push_back(v);
+    rec.set("verdicts", std::move(verdicts));
+    records.push_back(std::move(rec));
   }
-  os << "  ]\n}\n";
+  j.set("records", std::move(records));
+  return j;
 }
 
 }  // namespace nue

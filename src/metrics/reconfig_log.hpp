@@ -3,15 +3,17 @@
 // how much of the routing function it touched, which rung of the retry
 // ladder produced the committed table, whether the union-CDG gate allowed
 // a hitless swap or forced a drained recompute, and how long the repair
-// took. Benches and the nue_route --fault-trace replay mode serialize the
-// log as JSON (BENCH_reconfig.json).
+// took. to_json() is the log's one JSON form: nue_route --reconfig-json,
+// the run report's `reconfig` / `reconfig.<fabric>` sections and the
+// daemon's `reconfig-log` op all serve it.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace nue {
 
@@ -93,7 +95,8 @@ class ReconfigLog {
   };
   Summary summarize() const;
 
-  void write_json(std::ostream& os) const;
+  /// Summary counts plus the retained records, oldest first.
+  Json to_json() const;
 
  private:
   void absorb_into_totals(const TransitionRecord& r) {

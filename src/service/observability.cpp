@@ -6,7 +6,6 @@
 
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
-#include "util/rss.hpp"
 
 namespace nue::service {
 
@@ -172,53 +171,6 @@ std::uint64_t FlightRecorder::bundles() const {
 std::uint64_t FlightRecorder::suppressed() const {
   std::lock_guard<std::mutex> lk(mu_);
   return suppressed_;
-}
-
-// --- live metrics report ----------------------------------------------------
-
-Json live_metrics_report() {
-  Json report = Json::object();
-  report.set("schema_version", 1);
-  Json counters = Json::object();
-  for (const auto& [name, value] :
-       telemetry::Registry::instance().counter_snapshot()) {
-    counters.set(name, value);
-  }
-  report.set("counters", std::move(counters));
-  Json histograms = Json::object();
-  for (const auto& h : telemetry::Registry::instance().histogram_snapshot()) {
-    Json hj = Json::object();
-    hj.set("count", h.count);
-    hj.set("sum", h.sum);
-    Json buckets = Json::array();
-    for (const auto& [le, n] : h.buckets) {
-      Json b = Json::object();
-      b.set("le", le);
-      b.set("count", n);
-      buckets.push_back(std::move(b));
-    }
-    hj.set("buckets", std::move(buckets));
-    histograms.set(h.name, std::move(hj));
-  }
-  report.set("histograms", std::move(histograms));
-  auto& tracer = telemetry::Tracer::instance();
-  Json spans = Json::object();
-  Json by_name = Json::object();
-  // aggregate_all before dropped: both drain internally, order keeps the
-  // drop count at least as fresh as the aggregates.
-  for (const auto& [name, agg] : tracer.aggregate_all()) {
-    Json a = Json::object();
-    a.set("count", agg.count);
-    a.set("total_ms", Json(static_cast<double>(agg.total_ns) / 1e6));
-    by_name.set(name, std::move(a));
-  }
-  spans.set("dropped", tracer.dropped());
-  spans.set("by_name", std::move(by_name));
-  report.set("spans", std::move(spans));
-  if (const auto rss = peak_rss_mb()) {
-    report.set("peak_rss_mb", Json(*rss));
-  }
-  return report;
 }
 
 }  // namespace nue::service

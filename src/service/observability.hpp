@@ -1,6 +1,7 @@
 // The daemon's live observability plane (docs/OBSERVABILITY.md, "live
-// plane"): a bounded structured event journal, a gate-failure flight
-// recorder, and the live run-report builder behind the `metrics` op.
+// plane"): a bounded structured event journal and a gate-failure flight
+// recorder. (The `metrics` op serves telemetry::metrics_report, the same
+// builder behind --metrics-out.)
 //
 //   * EventJournal — an append-only ring of structured entries (one per
 //     fault/repair/wave/drain/gate-failure, plus load/unload), each with
@@ -13,9 +14,6 @@
 //     bundle, so every anomaly ships with the trace of the run that
 //     produced it (the daemon-side analogue of route_fuzz's diagnosis
 //     bundles).
-//   * live_metrics_report — the run-report JSON (counters, histograms
-//     with inclusive `le` edges, span aggregates) as a service::Json,
-//     sampled live without flushing or quiescing anything.
 //
 // Everything here is readable while routing threads are hot: the journal
 // takes one short mutex per append/read, the registry snapshots are
@@ -139,10 +137,5 @@ class FlightRecorder {
   std::uint64_t bundles_ = 0;
   std::uint64_t suppressed_ = 0;
 };
-
-/// The telemetry run report as a live Json value (schema_version,
-/// counters, histograms with inclusive `le` edges, span aggregates +
-/// drop count) — the `metrics` op's payload, sampled without flushing.
-Json live_metrics_report();
 
 }  // namespace nue::service

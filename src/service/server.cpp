@@ -22,11 +22,14 @@ namespace {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-/// write(2) until the buffer is gone; short writes are legal on sockets.
+/// send(2) until the buffer is gone; short writes are legal on sockets.
+/// MSG_NOSIGNAL: a client that hangs up before reading its replies gets
+/// EPIPE here, not a SIGPIPE that would kill the daemon and every shard.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;  // client hung up mid-response

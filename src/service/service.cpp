@@ -1,6 +1,8 @@
 #include "service/service.hpp"
 
+#include <cmath>
 #include <exception>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -31,6 +33,22 @@ Json error_response(const std::string& op, const std::string& what) {
   r.set("op", op);
   r.set("error", what);
   return r;
+}
+
+/// A request's non-negative integer member, `def` when absent. A value
+/// that is not a number, negative, fractional or too large for T throws
+/// — dispatch answers with the error envelope — instead of reaching a
+/// cast whose result would be undefined.
+template <typename T>
+T uint_member(const Json& req, const std::string& key, T def) {
+  const Json* v = req.find(key);
+  if (v == nullptr) return def;
+  const double x = v->is_number() ? v->as_number() : -1.0;
+  NUE_CHECK_MSG(x >= 0 && x == std::floor(x) &&
+                    x < std::ldexp(1.0, std::numeric_limits<T>::digits),
+                "\"" << key << "\" must be an integer in [0, "
+                     << std::numeric_limits<T>::max() << "]");
+  return static_cast<T>(x);
 }
 
 /// Per-op request-latency histogram name. Known ops get their own series
@@ -83,7 +101,7 @@ FaultEvent parse_fault_event(const Json& req) {
                             "switch-restore)");
   }
   NUE_CHECK_MSG(req.has("id"), "event needs an \"id\" member");
-  e.id = static_cast<std::uint32_t>(req.num("id"));
+  e.id = uint_member<std::uint32_t>(req, "id", 0);
   return e;
 }
 
@@ -300,11 +318,9 @@ Json FabricShard::status() {
   return r;
 }
 
-std::string FabricShard::reconfig_log_json() {
+Json FabricShard::reconfig_log() {
   std::lock_guard<std::mutex> lock(event_mu_);
-  std::ostringstream os;
-  mgr_.log().write_json(os);
-  return os.str();
+  return mgr_.log().to_json();
 }
 
 // --- ManagerService ---------------------------------------------------------
@@ -372,13 +388,13 @@ Json ManagerService::op_load(const Json& req) {
   NUE_CHECK_MSG(parsed.has_value(),
                 "unknown repair engine '" << engine << "'");
   policy.engine = *parsed;
-  policy.vls = static_cast<std::uint32_t>(req.num("vls", 2));
-  policy.max_vls = static_cast<std::uint32_t>(
-      req.num("max_vls", std::max<double>(policy.vls, 8)));
-  policy.seed = static_cast<std::uint64_t>(req.num("seed", 1));
-  policy.num_threads = static_cast<std::uint32_t>(req.num("threads", 1));
+  policy.vls = uint_member<std::uint32_t>(req, "vls", 2);
+  policy.max_vls = uint_member<std::uint32_t>(
+      req, "max_vls", std::max<std::uint32_t>(policy.vls, 8));
+  policy.seed = uint_member<std::uint64_t>(req, "seed", 1);
+  policy.num_threads = uint_member<std::uint32_t>(req, "threads", 1);
   policy.log_max_records =
-      static_cast<std::size_t>(req.num("log_max_records", 512));
+      uint_member<std::size_t>(req, "log_max_records", 512);
   load(name, generate, policy);
   Json r = ok_response("load");
   r.set("fabric", name);
@@ -419,12 +435,12 @@ Json ManagerService::op_metrics(const Json& req) {
   }
   NUE_CHECK_MSG(format == "json",
                 "unknown metrics format '" << format << "' (want json|prom)");
-  r.set("report", live_metrics_report());
+  r.set("report", telemetry::metrics_report());
   return r;
 }
 
 Json ManagerService::op_journal(const Json& req) {
-  const auto n = static_cast<std::size_t>(req.num("n", 64));
+  const auto n = uint_member<std::size_t>(req, "n", 64);
   const std::string fabric = req.str("fabric", "");
   Json entries = Json::array();
   for (const JournalEntry& e : journal_.tail(n, fabric)) {
@@ -467,20 +483,20 @@ Json ManagerService::handle(const Json& req) {
       if (op == "route") {
         NUE_CHECK_MSG(req.has("src") && req.has("dst"),
                       "route needs \"src\" and \"dst\"");
-        resp = shard->route(static_cast<std::uint32_t>(req.num("src")),
-                            static_cast<std::uint32_t>(req.num("dst")));
+        resp = shard->route(uint_member<std::uint32_t>(req, "src", 0),
+                            uint_member<std::uint32_t>(req, "dst", 0));
       } else if (op == "tables") {
         resp = shard->tables();
       } else if (op == "event") {
         resp = shard->apply_event(parse_fault_event(req));
       } else if (op == "storm") {
-        resp = shard->storm(static_cast<std::size_t>(req.num("events", 16)),
-                            static_cast<std::uint64_t>(req.num("seed", 1)),
+        resp = shard->storm(uint_member<std::size_t>(req, "events", 16),
+                            uint_member<std::uint64_t>(req, "seed", 1),
                             req.num("restore_fraction", 0.3));
       } else {
         Json r = ok_response("reconfig-log");
         r.set("fabric", name);
-        r.set("log", shard->reconfig_log_json());
+        r.set("log", shard->reconfig_log().dump());
         resp = r;
       }
     } else {
@@ -502,17 +518,16 @@ Json ManagerService::handle(const Json& req) {
   return resp;
 }
 
-std::vector<std::pair<std::string, std::string>>
-ManagerService::report_sections() {
+std::vector<telemetry::ExtraSection> ManagerService::report_sections() {
   std::vector<std::shared_ptr<FabricShard>> snapshot;
   {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot = shards_;
   }
-  std::vector<std::pair<std::string, std::string>> out;
+  std::vector<telemetry::ExtraSection> out;
   out.reserve(snapshot.size());
   for (const auto& s : snapshot) {
-    out.emplace_back("reconfig." + s->name(), s->reconfig_log_json());
+    out.emplace_back("reconfig." + s->name(), s->reconfig_log());
   }
   return out;
 }

@@ -33,6 +33,7 @@
 #include "resilience/resilience.hpp"
 #include "service/json.hpp"
 #include "service/observability.hpp"
+#include "telemetry/export.hpp"
 #include "topology/faults.hpp"
 
 namespace nue::service {
@@ -66,8 +67,8 @@ class FabricShard {
   /// Deterministic forwarding-table dump (routing/dump.hpp) + its epoch.
   Json tables();
   Json status();
-  /// The shard's ReconfigLog as raw JSON (metrics/reconfig_log.hpp).
-  std::string reconfig_log_json();
+  /// The shard's ReconfigLog (metrics/reconfig_log.hpp, to_json()).
+  Json reconfig_log();
 
  private:
   /// Journal the non-commit observations of one applied event (noop,
@@ -112,9 +113,9 @@ class ManagerService {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  /// Per-shard reconfiguration logs as raw-JSON extra sections for the
-  /// telemetry run report flushed at shutdown ("reconfig.<fabric>").
-  std::vector<std::pair<std::string, std::string>> report_sections();
+  /// Per-shard reconfiguration logs as extra sections for the telemetry
+  /// run report flushed at shutdown ("reconfig.<fabric>").
+  std::vector<telemetry::ExtraSection> report_sections();
 
   const EventJournal& journal() const { return journal_; }
   const FlightRecorder& flight_recorder() const { return flightrec_; }

@@ -34,7 +34,7 @@ class Cli {
   }
 
   /// Write the requested outputs. `config` lands in the run report's
-  /// config section; `extra` sections (raw JSON) are appended to it.
+  /// config section; `extra` sections are added to it as top-level members.
   void finish(const std::string& tool,
               const std::vector<std::pair<std::string, std::string>>& config,
               const std::vector<ExtraSection>& extra = {}) const {

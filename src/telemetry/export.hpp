@@ -1,83 +1,69 @@
 // Telemetry exporters (docs/OBSERVABILITY.md):
 //
+//   * metrics_report — the one builder of the counters / histograms /
+//     spans-by-name report (plus peak RSS), as a Json. The daemon's live
+//     `metrics` op serves it unchanged; write_run_report is the same value
+//     with the file-only members added.
+//   * write_run_report — the --metrics-out document: metrics_report() plus
+//     `tool`, the caller's `config` and any extra sections (e.g. the
+//     ReconfigLog as `reconfig`).
 //   * write_chrome_trace — Chrome trace-event JSON ("X" complete events),
 //     loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. One
 //     track per telemetry thread id; timestamps in microseconds relative
 //     to the first telemetry event of the process.
-//   * write_run_report — machine-readable run report bundling the counter
-//     registry, histogram snapshots, a spans-by-name summary (with the
-//     ring-buffer drop count) and the caller's run configuration, plus
-//     optional raw-JSON extra sections (e.g. the ReconfigLog).
 //
-// Both formats are validated against bundled JSON schemas
+// Both file formats are validated against bundled JSON schemas
 // (scripts/schemas/*.schema.json) by the tier-1 telemetry stage; bump
 // kRunReportSchemaVersion when changing the report shape.
 #pragma once
 
-#include <cstdio>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
+#include "util/json.hpp"
 #include "util/rss.hpp"
 
 namespace nue::telemetry {
 
 inline constexpr int kRunReportSchemaVersion = 1;
 
-namespace detail {
-
-inline void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace detail
-
 /// Chrome trace-event JSON of every span collected so far. `process_name`
-/// labels the (single) pid track.
+/// labels the (single) pid track. Streamed one event object at a time, so
+/// a long trace never exists as one in-memory tree.
 inline void write_chrome_trace(std::ostream& os,
                                const std::string& process_name) {
   const auto spans = Tracer::instance().snapshot();
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  os << "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-        "\"tid\": 0, \"args\": {\"name\": ";
-  detail::write_json_string(os, process_name);
-  os << "}}";
+  Json meta = Json::object();
+  meta.set("name", "process_name");
+  meta.set("ph", "M");
+  meta.set("pid", 1);
+  meta.set("tid", 0);
+  meta.set("args", Json::object().set("name", process_name));
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  meta.write(os);
   for (const Span& s : spans) {
-    os << ",\n  {\"name\": ";
-    detail::write_json_string(os, s.name);
+    Json ev = Json::object();
+    ev.set("name", s.name);
+    ev.set("cat", "nue");
+    ev.set("ph", "X");
     // Microsecond timestamps with sub-us fraction preserved; Perfetto
     // accepts fractional ts/dur.
-    os << ", \"cat\": \"nue\", \"ph\": \"X\", \"ts\": "
-       << static_cast<double>(s.start_ns) / 1e3
-       << ", \"dur\": " << static_cast<double>(s.dur_ns) / 1e3
-       << ", \"pid\": 1, \"tid\": " << s.tid << ", \"args\": {\"depth\": "
-       << s.depth << "}}";
+    ev.set("ts", static_cast<double>(s.start_ns) / 1e3);
+    ev.set("dur", static_cast<double>(s.dur_ns) / 1e3);
+    ev.set("pid", 1);
+    ev.set("tid", s.tid);
+    ev.set("args", Json::object().set("depth", s.depth));
+    os << ",\n";
+    ev.write(os);
   }
   os << "\n]}\n";
 }
 
-/// One "key": <raw json> section appended verbatim to the run report.
-using ExtraSection = std::pair<std::string, std::string>;
+/// One named top-level section added to the run report.
+using ExtraSection = std::pair<std::string, Json>;
 
 namespace detail {
 
@@ -124,87 +110,66 @@ inline void write_prometheus_text(std::ostream& os) {
   }
 }
 
-/// Machine-readable run report: config + counters + histograms + span
-/// summary (+ extra raw-JSON sections). Counters and histograms are
-/// whatever the registry currently holds; spans summarize everything
-/// collected so far.
+/// The counters / histograms / spans report, sampled live without
+/// flushing or quiescing anything: counters and histograms are whatever
+/// the registry holds now, spans summarize everything collected so far.
+inline Json metrics_report() {
+  Json report = Json::object();
+  report.set("schema_version", kRunReportSchemaVersion);
+  Json counters = Json::object();
+  for (const auto& [name, value] : Registry::instance().counter_snapshot()) {
+    counters.set(name, value);
+  }
+  report.set("counters", std::move(counters));
+  Json histograms = Json::object();
+  for (const auto& h : Registry::instance().histogram_snapshot()) {
+    Json buckets = Json::array();
+    for (const auto& [le, n] : h.buckets) {
+      buckets.push_back(Json::object().set("le", le).set("count", n));
+    }
+    Json hj = Json::object();
+    hj.set("count", h.count);
+    hj.set("sum", h.sum);
+    hj.set("buckets", std::move(buckets));
+    histograms.set(h.name, std::move(hj));
+  }
+  report.set("histograms", std::move(histograms));
+  auto& tracer = Tracer::instance();
+  // Lifetime aggregate, not aggregate_since(0): in a resident daemon the
+  // bounded central log evicts old spans, and the report must still show
+  // process totals. aggregate_all before dropped: both drain internally,
+  // and this order keeps the drop count at least as fresh as the
+  // aggregates.
+  Json by_name = Json::object();
+  for (const auto& [name, agg] : tracer.aggregate_all()) {
+    by_name.set(name, Json::object()
+                          .set("count", agg.count)
+                          .set("total_ms",
+                               static_cast<double>(agg.total_ns) / 1e6));
+  }
+  Json spans = Json::object();
+  spans.set("dropped", tracer.dropped());
+  spans.set("by_name", std::move(by_name));
+  report.set("spans", std::move(spans));
+  // Omitted (not 0) when the kernel does not expose VmHWM — the schema
+  // keeps the field optional so consumers read absence as "unavailable".
+  if (const auto rss = peak_rss_mb()) report.set("peak_rss_mb", *rss);
+  return report;
+}
+
+/// The machine-readable run report: metrics_report() plus the tool name,
+/// the caller's run configuration and any extra sections.
 inline void write_run_report(
     std::ostream& os, const std::string& tool,
     const std::vector<std::pair<std::string, std::string>>& config,
     const std::vector<ExtraSection>& extra = {}) {
-  auto& tracer = Tracer::instance();
-  // Lifetime aggregate, not aggregate_since(0): in a resident daemon the
-  // bounded central log evicts old spans, and the report must still show
-  // process totals (the live `metrics` op and the shutdown flush agree).
-  const auto by_name = tracer.aggregate_all();
-  const std::uint64_t dropped = tracer.dropped();
-
-  os << "{\n  \"schema_version\": " << kRunReportSchemaVersion
-     << ",\n  \"tool\": ";
-  detail::write_json_string(os, tool);
-  os << ",\n  \"config\": {";
-  for (std::size_t i = 0; i < config.size(); ++i) {
-    if (i) os << ", ";
-    detail::write_json_string(os, config[i].first);
-    os << ": ";
-    detail::write_json_string(os, config[i].second);
-  }
-  os << "},\n  \"counters\": {";
-  {
-    const auto counters = Registry::instance().counter_snapshot();
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-      if (i) os << ", ";
-      os << "\n    ";
-      detail::write_json_string(os, counters[i].first);
-      os << ": " << counters[i].second;
-    }
-    if (!counters.empty()) os << "\n  ";
-  }
-  os << "},\n  \"histograms\": {";
-  {
-    const auto hists = Registry::instance().histogram_snapshot();
-    for (std::size_t i = 0; i < hists.size(); ++i) {
-      if (i) os << ", ";
-      os << "\n    ";
-      detail::write_json_string(os, hists[i].name);
-      os << ": {\"count\": " << hists[i].count << ", \"sum\": "
-         << hists[i].sum << ", \"buckets\": [";
-      for (std::size_t j = 0; j < hists[i].buckets.size(); ++j) {
-        if (j) os << ", ";
-        os << "{\"le\": " << hists[i].buckets[j].first
-           << ", \"count\": " << hists[i].buckets[j].second << "}";
-      }
-      os << "]}";
-    }
-    if (!hists.empty()) os << "\n  ";
-  }
-  os << "},\n  \"spans\": {\n    \"dropped\": " << dropped
-     << ",\n    \"by_name\": {";
-  {
-    bool first = true;
-    for (const auto& [name, agg] : by_name) {
-      if (!first) os << ", ";
-      first = false;
-      os << "\n      ";
-      detail::write_json_string(os, name);
-      os << ": {\"count\": " << agg.count
-         << ", \"total_ms\": " << static_cast<double>(agg.total_ns) / 1e6
-         << "}";
-    }
-    if (!first) os << "\n    ";
-  }
-  os << "}\n  }";
-  // Omitted (not 0) when the kernel does not expose VmHWM — the schema
-  // keeps the field optional so consumers read absence as "unavailable".
-  if (const auto rss = peak_rss_mb()) {
-    os << ",\n  \"peak_rss_mb\": " << *rss;
-  }
-  for (const auto& [key, raw_json] : extra) {
-    os << ",\n  ";
-    detail::write_json_string(os, key);
-    os << ": " << raw_json;
-  }
-  os << "\n}\n";
+  Json report = metrics_report();
+  report.set("tool", tool);
+  Json cfg = Json::object();
+  for (const auto& [key, value] : config) cfg.set(key, value);
+  report.set("config", std::move(cfg));
+  for (const auto& [key, section] : extra) report.set(key, section);
+  os << report.dump() << "\n";
 }
 
 }  // namespace nue::telemetry

@@ -13,7 +13,9 @@
 // largest config the suite routes — for Nue and Up*/Down*. (DFSSSP is
 // excluded there: its VL demand exceeds the 8-lane cap on that fabric,
 // the paper's expected inapplicability.)
+#include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -120,54 +122,44 @@ struct Golden {
   std::uint64_t hash;
 };
 
-// gtest has no printer for Golden, so each case's registered name (what
-// `ctest -N` lists) ends with the param's raw bytes, starting with the low
-// bytes of the fabric-name pointer. As plain literals those names sat in
-// the shared string pool and moved whenever unrelated code grew it, which
-// renamed the ctest cases from one build to the next. Keeping the names in
-// one 256-byte-aligned object at fixed offsets pins the low pointer byte
-// (the loader only moves the image by whole pages), so the names stay put
-// across builds. The lead-in keeps the offsets the names have always had.
-struct alignas(256) FabricNames {
-  char lead_in[0xAD] = {};
-  char torus[6] = "torus";
-  char torus_faulted[14] = "torus-faulted";
-  char kautz[6] = "kautz";
-  char fattree[8] = "fattree";
-  char dragonfly[10] = "dragonfly";
-  char hyperx[7] = "hyperx";
-  char hypercube[10] = "hypercube";
-  char random[7] = "random";
-};
-constexpr FabricNames kFabric{};
+/// The case's name: "torus_nue", "torus_faulted_dfsssp", ... When gtest
+/// lists a case it prints this after the case's index, and
+/// gtest_discover_tests turns ".../<index>  # GetParam() = <name>" into the
+/// ctest name ".../<name>", so the ctest names depend on nothing but the
+/// table below.
+void PrintTo(const Golden& g, std::ostream* os) {
+  std::string name = std::string(g.fabric) + "_" + g.engine;
+  std::replace(name.begin(), name.end(), '-', '_');
+  *os << name;
+}
 
 // Captured with Nue at 4 VLs, DFSSSP capped at 8 VLs, Up*/Down* default;
 // destinations = all terminals. Verified identical at 1/4/8 threads.
 constexpr Golden kGolden[] = {
-    {kFabric.torus, "nue", 0x1173d2034af4bcbcull},
-    {kFabric.torus, "dfsssp", 0xae88cb403303bd38ull},
-    {kFabric.torus, "updown", 0x29c975b03ae0fcb1ull},
-    {kFabric.torus_faulted, "nue", 0xfcde22aa52ce15ebull},
-    {kFabric.torus_faulted, "dfsssp", 0x8108b3ec6dbc6929ull},
-    {kFabric.torus_faulted, "updown", 0x3b0182c4ba9cf511ull},
-    {kFabric.fattree, "nue", 0x8b3b2e1949698f5eull},
-    {kFabric.fattree, "dfsssp", 0x0046a7d6a27c4aa9ull},
-    {kFabric.fattree, "updown", 0x21f3e16902559611ull},
-    {kFabric.kautz, "nue", 0x1b0f569a9fe77c73ull},
-    {kFabric.kautz, "dfsssp", 0xfbe5492d9c20c293ull},
-    {kFabric.kautz, "updown", 0x0d9e44e331d2b4dbull},
-    {kFabric.dragonfly, "nue", 0x817b9c4e0ce46e9dull},
-    {kFabric.dragonfly, "dfsssp", 0xb675653ec1e1bae7ull},
-    {kFabric.dragonfly, "updown", 0xfaba504054f81e05ull},
-    {kFabric.hyperx, "nue", 0x7f0dbc925a787cbdull},
-    {kFabric.hyperx, "dfsssp", 0xf42ef0b66148f4e1ull},
-    {kFabric.hyperx, "updown", 0x3ae272cb71c6f1a2ull},
-    {kFabric.hypercube, "nue", 0x712b56041dd75b01ull},
-    {kFabric.hypercube, "dfsssp", 0xec46cd3253f03dccull},
-    {kFabric.hypercube, "updown", 0x64f7cd9164e042b7ull},
-    {kFabric.random, "nue", 0xf1ab59c889e5f80dull},
-    {kFabric.random, "dfsssp", 0x8dfae9ff0a8ff26cull},
-    {kFabric.random, "updown", 0x517f3a0a35ff6ef8ull},
+    {"torus", "nue", 0x1173d2034af4bcbcull},
+    {"torus", "dfsssp", 0xae88cb403303bd38ull},
+    {"torus", "updown", 0x29c975b03ae0fcb1ull},
+    {"torus-faulted", "nue", 0xfcde22aa52ce15ebull},
+    {"torus-faulted", "dfsssp", 0x8108b3ec6dbc6929ull},
+    {"torus-faulted", "updown", 0x3b0182c4ba9cf511ull},
+    {"fattree", "nue", 0x8b3b2e1949698f5eull},
+    {"fattree", "dfsssp", 0x0046a7d6a27c4aa9ull},
+    {"fattree", "updown", 0x21f3e16902559611ull},
+    {"kautz", "nue", 0x1b0f569a9fe77c73ull},
+    {"kautz", "dfsssp", 0xfbe5492d9c20c293ull},
+    {"kautz", "updown", 0x0d9e44e331d2b4dbull},
+    {"dragonfly", "nue", 0x817b9c4e0ce46e9dull},
+    {"dragonfly", "dfsssp", 0xb675653ec1e1bae7ull},
+    {"dragonfly", "updown", 0xfaba504054f81e05ull},
+    {"hyperx", "nue", 0x7f0dbc925a787cbdull},
+    {"hyperx", "dfsssp", 0xf42ef0b66148f4e1ull},
+    {"hyperx", "updown", 0x3ae272cb71c6f1a2ull},
+    {"hypercube", "nue", 0x712b56041dd75b01ull},
+    {"hypercube", "dfsssp", 0xec46cd3253f03dccull},
+    {"hypercube", "updown", 0x64f7cd9164e042b7ull},
+    {"random", "nue", 0xf1ab59c889e5f80dull},
+    {"random", "dfsssp", 0x8dfae9ff0a8ff26cull},
+    {"random", "updown", 0x517f3a0a35ff6ef8ull},
 };
 
 class GoldenTables : public ::testing::TestWithParam<Golden> {};
@@ -182,16 +174,8 @@ TEST_P(GoldenTables, BitIdenticalAtEveryThreadCount) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllFabrics, GoldenTables, ::testing::ValuesIn(kGolden),
-    [](const ::testing::TestParamInfo<Golden>& info) {
-      std::string n = std::string(info.param.fabric) + "_" +
-                      info.param.engine;
-      for (char& c : n) {
-        if (c == '-') c = '_';
-      }
-      return n;
-    });
+INSTANTIATE_TEST_SUITE_P(AllFabrics, GoldenTables,
+                         ::testing::ValuesIn(kGolden));
 
 // Fig.-11-style scale config: 6x6x6 torus, 4 terminals per switch, 7
 // failed links, Nue at the full 8-VL budget.

@@ -20,20 +20,19 @@
 
 #include "resilience/resilience.hpp"
 #include "routing/dump.hpp"
-#include "service/json.hpp"
 #include "service/observability.hpp"
 #include "service/service.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topology/faults.hpp"
 #include "topology/generate.hpp"
+#include "util/json.hpp"
 
 namespace nue {
 namespace {
 
 using service::EventJournal;
 using service::FlightRecorder;
-using service::Json;
 using service::JournalEntry;
 using service::ManagerService;
 using service::ObservabilityOptions;

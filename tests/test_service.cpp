@@ -7,9 +7,12 @@
 // ResilienceManager replay of the same event sequence (which is what
 // one-shot `nue_route --fault-trace` runs).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,17 +20,16 @@
 
 #include "routing/dump.hpp"
 #include "service/client.hpp"
-#include "service/json.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 #include "topology/faults.hpp"
 #include "topology/generate.hpp"
+#include "util/json.hpp"
 
 namespace nue {
 namespace {
 
 using service::Client;
-using service::Json;
 using service::ManagerService;
 using service::SocketServer;
 
@@ -116,6 +118,32 @@ TEST(ManagerServiceDispatch, LoadRouteEventUnload) {
   EXPECT_FALSE(
       svc.handle(Json::parse(R"({"op":"route","fabric":"t","src":9,"dst":17})"))
           .boolean("ok"));
+}
+
+// Request integers are range-checked before any cast: a negative,
+// fractional or oversized value is answered with the error envelope, and
+// an echoed req_id far outside the integer range still round-trips.
+TEST(ManagerServiceDispatch, OutOfRangeNumbersGetTheErrorEnvelope) {
+  ManagerService svc;
+  ASSERT_TRUE(svc.handle(Json::parse(
+                      R"({"op":"load","fabric":"t","generate":"torus:3x3:1"})"))
+                  .boolean("ok"));
+  for (const char* src : {"-1", "1e12", "0.5"}) {
+    const Json r = svc.handle(Json::parse(
+        std::string(R"({"op":"route","fabric":"t","dst":9,"src":)") + src +
+        "}"));
+    EXPECT_FALSE(r.boolean("ok")) << "src " << src;
+    EXPECT_NE(r.str("error").find("\"src\""), std::string::npos) << src;
+  }
+  EXPECT_FALSE(
+      svc.handle(Json::parse(R"({"op":"journal","n":-5})")).boolean("ok"));
+  const Json echoed =
+      svc.handle(Json::parse(R"({"op":"status","req_id":1e300})"));
+  ASSERT_TRUE(echoed.boolean("ok"));
+  const Json wire = Json::parse(echoed.dump());
+  ASSERT_NE(wire.find("req_id"), nullptr);
+  EXPECT_TRUE(wire.find("req_id")->is_number());
+  EXPECT_EQ(wire.num("req_id"), 1e300);
 }
 
 std::string temp_socket_path(const char* tag) {
@@ -322,6 +350,48 @@ TEST(Daemon, ConcurrentQueriesDuringFaultStormMatchOfflineReplay) {
   EXPECT_TRUE(client.request(shutdown).boolean("ok"));
   serve_thread.join();
   EXPECT_TRUE(svc.shutdown_requested());
+}
+
+// A client that pipelines requests and hangs up without reading the
+// replies must cost the daemon one connection, not the process: the
+// replies' writes fail with EPIPE instead of raising SIGPIPE. The client
+// connects (into the listen backlog), sends and closes before serving
+// starts, so every reply is written to a closed peer.
+TEST(Daemon, ClientClosingBeforeReadingRepliesDoesNotKillTheDaemon) {
+  ManagerService svc;
+  resilience::RepairPolicy pol;
+  pol.vls = 2;
+  pol.num_threads = 1;
+  svc.load("a", "torus:4x4x4:1", pol);
+  const std::string path = temp_socket_path("hangup");
+  SocketServer server(path, svc);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string line =
+      Json::object().set("op", "tables").set("fabric", "a").dump() + "\n";
+  std::string burst;
+  for (int i = 0; i < 50; ++i) burst += line;
+  const ssize_t sent = ::write(fd, burst.data(), burst.size());
+  ::close(fd);
+  ASSERT_EQ(sent, static_cast<ssize_t>(burst.size()));
+
+  std::thread serve_thread([&server] { server.serve(); });
+  bool status_ok = false;
+  try {
+    Client client(path);
+    status_ok = client.request(Json::parse(R"({"op":"status"})")).boolean("ok");
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "second connection failed: " << e.what();
+  }
+  server.stop();
+  serve_thread.join();
+  EXPECT_TRUE(status_ok);
 }
 
 TEST(Daemon, StormOpAndStatusCounters) {

@@ -11,12 +11,15 @@
 #include <string>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
+#include "metrics/reconfig_log.hpp"
 #include "nue/nue_routing.hpp"
 #include "routing/dump.hpp"
 #include "routing/validate.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topology/torus.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nue {
@@ -26,6 +29,22 @@ std::string tables_of(const Network& net, const RoutingResult& rr) {
   std::ostringstream os;
   write_forwarding_tables(os, net, rr);
   return os.str();
+}
+
+/// The written run report, parsed back.
+Json run_report(const std::string& tool,
+                const std::vector<std::pair<std::string, std::string>>& config,
+                const std::vector<telemetry::ExtraSection>& extra = {}) {
+  std::ostringstream os;
+  telemetry::write_run_report(os, tool, config, extra);
+  return Json::parse(os.str());
+}
+
+/// The written Chrome trace, parsed back.
+Json chrome_trace(const std::string& process_name) {
+  std::ostringstream os;
+  telemetry::write_chrome_trace(os, process_name);
+  return Json::parse(os.str());
 }
 
 Network torus_4x4x3() {
@@ -108,9 +127,8 @@ TEST_F(TelemetryTest, OverflowDropsAreCountedNotSilent) {
   EXPECT_EQ(ours, 8u);
   EXPECT_EQ(dropped, 12u);
   // The run report surfaces the count.
-  std::ostringstream os;
-  telemetry::write_run_report(os, "test", {});
-  EXPECT_NE(os.str().find("\"dropped\": 12"), std::string::npos);
+  const Json report = run_report("test", {});
+  EXPECT_EQ(report.find("spans")->num("dropped", -1), 12.0);
 }
 
 /// Reconstruct nesting per tid from (start, dur, depth): spans sorted by
@@ -180,30 +198,76 @@ TEST_F(TelemetryTest, ChromeTraceExportIsValidAndComplete) {
     TELEM_SPAN("test.parent");
     TELEM_SPAN("test.child");
   }
-  std::ostringstream os;
-  telemetry::write_chrome_trace(os, "unit \"test\"");
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.parent\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.child\""), std::string::npos);
-  EXPECT_NE(json.find("unit \\\"test\\\""), std::string::npos)
-      << "process name must be JSON-escaped";
+  const Json trace = chrome_trace("unit \"test\"");
+  const Json* events = trace.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_FALSE(events->items().empty());
+  const Json& meta = events->items().front();
+  EXPECT_EQ(meta.str("ph"), "M");
+  EXPECT_EQ(meta.find("args")->str("name"), "unit \"test\"")
+      << "process name must round-trip through the JSON escaping";
+  std::map<std::string, std::string> phase_of;
+  for (const Json& e : events->items()) phase_of[e.str("name")] = e.str("ph");
+  EXPECT_EQ(phase_of["test.parent"], "X");
+  EXPECT_EQ(phase_of["test.child"], "X");
 }
 
 TEST_F(TelemetryTest, RunReportCarriesConfigCountersAndExtras) {
   telemetry::set_enabled(true);
   telemetry::counter("test.report_counter").add(7);
   telemetry::histogram("test.report_hist").record(5);
-  std::ostringstream os;
-  telemetry::write_run_report(os, "unit_test", {{"key", "value"}},
-                              {{"extra", "{\"nested\": true}"}});
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"tool\": \"unit_test\""), std::string::npos);
-  EXPECT_NE(json.find("\"key\": \"value\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.report_counter\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"test.report_hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"extra\": {\"nested\": true}"), std::string::npos);
+  const Json report = run_report("unit_test", {{"key", "value"}},
+                                 {{"extra", Json::object().set("nested", true)}});
+  EXPECT_EQ(report.str("tool"), "unit_test");
+  EXPECT_EQ(report.find("config")->str("key"), "value");
+  EXPECT_EQ(report.find("counters")->num("test.report_counter"), 7.0);
+  EXPECT_TRUE(report.find("histograms")->has("test.report_hist"));
+  EXPECT_TRUE(report.find("extra")->boolean("nested"));
+}
+
+// Every document the repo writes goes through the one JSON type, so a
+// name carrying quotes, backslashes and control characters must come back
+// from each of them unchanged.
+TEST_F(TelemetryTest, EscapingRoundTripsThroughEveryDocument) {
+  static constexpr char kNasty[] = "q\"b\\s\nn\tt\x01" "c";
+  const std::string nasty = kNasty;
+  telemetry::set_enabled(true);
+  telemetry::counter(nasty).add(3);
+  { TELEM_SPAN(kNasty); }
+
+  TransitionRecord rec;
+  rec.epoch = 2;
+  rec.event = nasty;
+  rec.committed_step = "incremental";
+  rec.verdicts = {nasty};
+  ReconfigLog log;
+  log.add(rec);
+  const Json log_json = Json::parse(log.to_json().dump());
+  const Json& record = log_json.find("records")->items().at(0);
+  EXPECT_EQ(record.str("event"), nasty);
+  EXPECT_EQ(record.find("verdicts")->items().at(0).as_string(), nasty);
+
+  const Json report =
+      run_report(nasty, {{"mode", nasty}}, {{"reconfig", log.to_json()}});
+  EXPECT_EQ(report.str("tool"), nasty);
+  EXPECT_EQ(report.find("config")->str("mode"), nasty);
+  EXPECT_EQ(report.find("counters")->num(nasty), 3.0);
+  EXPECT_TRUE(report.find("spans")->find("by_name")->has(nasty));
+  EXPECT_EQ(report.find("reconfig")->find("records")->items().at(0).str("event"),
+            nasty);
+
+  const Json trace = chrome_trace(nasty);
+  EXPECT_EQ(trace.find("traceEvents")->items().at(0).find("args")->str("name"),
+            nasty);
+  bool traced = false;
+  for (const Json& e : trace.find("traceEvents")->items()) {
+    traced = traced || (e.str("ph") == "X" && e.str("name") == nasty);
+  }
+  EXPECT_TRUE(traced);
+
+  const Json phases =
+      Json::parse(bench::phases_json({{nasty, 1, 0.5}}).dump());
+  EXPECT_EQ(phases.items().at(0).str("name"), nasty);
 }
 
 TEST_F(TelemetryTest, AggregateSinceIsolatesDeltas) {

@@ -19,7 +19,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 
 #include "graph/algorithms.hpp"
 #include "metrics/metrics.hpp"
@@ -207,9 +206,9 @@ int main(int argc, char** argv) {
       std::cout << "repair latency: median " << sum.median_repair_ms
                 << "ms, p99 " << sum.p99_repair_ms << "ms, max "
                 << sum.max_repair_ms << "ms\n";
+      const Json reconfig = mgr.log().to_json();
       if (!reconfig_json.empty()) {
-        std::ofstream f(reconfig_json);
-        mgr.log().write_json(f);
+        std::ofstream(reconfig_json) << reconfig.dump() << "\n";
       }
       const auto final_rep = validate_routing(mgr.net(), *mgr.table());
       std::cout << "final table: connected=" << final_rep.connected
@@ -219,9 +218,7 @@ int main(int argc, char** argv) {
       if (telem.wanted()) {
         // The run report embeds the structured reconfiguration log next to
         // the folded resilience.* counters (same JSON as --reconfig-json).
-        std::ostringstream reconfig;
-        mgr.log().write_json(reconfig);
-        telem.finish("nue_route", telem_config, {{"reconfig", reconfig.str()}});
+        telem.finish("nue_route", telem_config, {{"reconfig", reconfig}});
       }
       return final_rep.ok() ? 0 : 2;
     }

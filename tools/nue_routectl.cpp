@@ -29,14 +29,14 @@
 #include <vector>
 
 #include "service/client.hpp"
-#include "service/json.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using nue::service::Client;
-using nue::service::Json;
+using nue::Json;
 
 /// (le, count) pairs of one histogram in a live metrics report, for
 /// telemetry::quantile_from_buckets.

@@ -29,6 +29,7 @@
 #include "fuzz/fuzz.hpp"
 #include "telemetry/cli.hpp"
 #include "util/flags.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -90,29 +91,28 @@ void print_failures(const std::vector<ScenarioOutcome>& outcomes) {
 void write_json(const std::string& path,
                 const std::vector<ScenarioOutcome>& outcomes,
                 const Totals& t) {
-  std::ofstream os(path);
-  os << "{\n  \"scenarios\": " << t.scenarios
-     << ",\n  \"violations\": " << t.violations
-     << ",\n  \"inapplicable\": " << t.inapplicable
-     << ",\n  \"sim_checked\": " << t.sim_checked
-     << ",\n  \"sim_deadlocks\": " << t.sim_deadlocks
-     << ",\n  \"fault_shortfalls\": " << t.fault_shortfalls
-     << ",\n  \"reconfig_checked\": " << t.reconfig_checked
-     << ",\n  \"reconfig_transitions\": " << t.reconfig_transitions
-     << ",\n  \"reconfig_hitless\": " << t.reconfig_hitless
-     << ",\n  \"reconfig_drained\": " << t.reconfig_drained
-     << ",\n  \"reconfig_waved\": " << t.reconfig_waved
-     << ",\n  \"reconfig_wave_commits\": " << t.reconfig_wave_commits
-     << ",\n  \"failures\": [\n";
-  bool first = true;
+  Json j = Json::object();
+  j.set("scenarios", t.scenarios);
+  j.set("violations", t.violations);
+  j.set("inapplicable", t.inapplicable);
+  j.set("sim_checked", t.sim_checked);
+  j.set("sim_deadlocks", t.sim_deadlocks);
+  j.set("fault_shortfalls", t.fault_shortfalls);
+  j.set("reconfig_checked", t.reconfig_checked);
+  j.set("reconfig_transitions", t.reconfig_transitions);
+  j.set("reconfig_hitless", t.reconfig_hitless);
+  j.set("reconfig_drained", t.reconfig_drained);
+  j.set("reconfig_waved", t.reconfig_waved);
+  j.set("reconfig_wave_commits", t.reconfig_wave_commits);
+  Json failures = Json::array();
   for (const auto& o : outcomes) {
     if (o.report.ok()) continue;
-    if (!first) os << ",\n";
-    first = false;
-    os << "    {\"label\": \"" << o.spec.label() << "\", \"kind\": \""
-       << violation_kind(o.report) << "\"}";
+    failures.push_back(Json::object()
+                           .set("label", o.spec.label())
+                           .set("kind", violation_kind(o.report)));
   }
-  os << "\n  ]\n}\n";
+  j.set("failures", std::move(failures));
+  std::ofstream(path) << j.dump() << "\n";
 }
 
 /// Re-run a minimized reproducer with telemetry on and write the span
