@@ -211,24 +211,23 @@ StormRecord run_storm(const std::string& topo, std::size_t events,
   std::vector<double> repair_ms;
   resilience::ResilienceManager mgr(net, policy);
   Timer wall;
+  ReconfigLog::Summary sum;  // over the returned records: chain finals
   for (const FaultEvent& e : trace.events) {
     const TransitionRecord tr = mgr.apply(e);
-    ++rec.events;
-    if (tr.committed_step == "noop") {
-      ++rec.noops;
-      continue;
-    }
-    ++rec.transitions;
-    repair_ms.push_back(tr.repair_ms);
-    if (tr.hitless) ++rec.hitless;
-    if (tr.drained) ++rec.drains;
-    if (tr.wave_count > 0) {
-      ++rec.wave_chains;
-      rec.wave_commits += tr.wave_count;
-      rec.max_chain_epochs =
-          std::max<std::size_t>(rec.max_chain_epochs, tr.wave_count);
-    }
+    sum.add(tr);
+    if (tr.committed_step != "noop") repair_ms.push_back(tr.repair_ms);
+    rec.max_chain_epochs =
+        std::max<std::size_t>(rec.max_chain_epochs, tr.wave_count);
   }
+  rec.events = trace.events.size();
+  rec.transitions = sum.transitions;
+  rec.noops = sum.noops;
+  rec.hitless = sum.hitless;
+  rec.drains = sum.drained;
+  rec.wave_chains = sum.waved;
+  // Every chain epoch is in the log (intermediates too); the initial
+  // table is not a chain, so the log-wide count is this storm's.
+  rec.wave_commits = mgr.log().summarize().wave_commits;
   const double secs = wall.millis() / 1000.0;
   rec.events_per_sec = secs > 0 ? rec.events / secs : 0.0;
   rec.p50_repair_ms = quantile(repair_ms, 0.5);

@@ -18,14 +18,15 @@ ctest --test-dir build --output-on-failure -j
 # the wave-scheduler suite (multi-epoch migration chains committing
 # through the same swap while readers hold table snapshots), the
 # live observability plane (scraper threads reading metrics/journal
-# against an in-flight storm), and the event-engine suites (the engine
-# itself is single-threaded, but its runs sit downstream of the
-# thread-pooled routing phase).
+# against an in-flight storm), the bounded transition log (its retention
+# window, the journal/reconfig golden and the counter-parity check), and
+# the event-engine suites (the engine itself is single-threaded, but its
+# runs sit downstream of the thread-pooled routing phase).
 cmake -B build-tsan -S . -DSANITIZE=thread
 cmake --build build-tsan -j --target nue_tests
 TSAN_OPTIONS="halt_on_error=1" \
   ./build-tsan/tests/nue_tests \
-  --gtest_filter='ParallelDeterminism.*:NetworkChurn.*:ResilienceChurn.*:Daemon.*:WaveScheduler.*:LivePlane.*:EventSim.*:SimParity.*:Scenario.*'
+  --gtest_filter='ParallelDeterminism.*:NetworkChurn.*:ResilienceChurn.*:ReconfigLogRetention.*:Daemon.*:WaveScheduler.*:LivePlane.*:JournalGolden.*:CounterParity.*:EventSim.*:SimParity.*:Scenario.*'
 
 cmake -B build-ubsan -S . -DSANITIZE=undefined
 cmake --build build-ubsan -j --target route_fuzz
@@ -101,7 +102,7 @@ python3 scripts/validate_json.py scripts/schemas/run_report.schema.json \
 cmake --build build-asan -j --target nue_managerd nue_routectl nue_tests
 ASAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/nue_tests \
-  --gtest_filter='NetworkChurn.*:ResilienceChurn.*:Daemon.*:WaveScheduler.*:LivePlane.*:EventSim.*:SimParity.*:Scenario.*:ValidateColumnPass.*'
+  --gtest_filter='NetworkChurn.*:ResilienceChurn.*:ReconfigLogRetention.*:Daemon.*:WaveScheduler.*:LivePlane.*:JournalGolden.*:CounterParity.*:EventSim.*:SimParity.*:Scenario.*:ValidateColumnPass.*'
 MANAGERD_SOCK="build-asan/managerd.sock"
 rm -rf build-asan/flightrec build-asan/managerd.journal.jsonl
 ASAN_OPTIONS="halt_on_error=1" \

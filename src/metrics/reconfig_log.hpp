@@ -9,10 +9,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "util/bounded_log.hpp"
 #include "util/json.hpp"
 
 namespace nue {
@@ -41,39 +43,16 @@ struct TransitionRecord {
   std::uint32_t wave_count = 0;  // epochs in the chain (0 = not a chain)
   double repair_ms = 0.0;   // event applied -> table committed
   /// One line per ladder attempt, in order ("incremental: ok", "more-vls:
-  /// engine declined: ...", "incremental: over budget (12.3ms > 5ms)").
+  /// engine declined: ...", "incremental: invalid table: ...").
   std::vector<std::string> verdicts;
 };
 
+/// The one per-shard transition log: the `reconfig-log` op, the run
+/// report's `reconfig` sections and the daemon's journal entries are all
+/// views of these records, and add() mirrors each one onto the
+/// `resilience.*` telemetry counters.
 class ReconfigLog {
  public:
-  void add(TransitionRecord r) {
-    absorb_into_totals(r);
-    records_.push_back(std::move(r));
-    trim();
-  }
-
-  /// The retained record window, oldest first. With a retention cap this
-  /// is a suffix of the full trail (see set_max_records).
-  const std::vector<TransitionRecord>& records() const { return records_; }
-
-  /// Cap the retained record window at `n` (0 = unbounded, the one-shot
-  /// CLI default — replays want the full trail). The resident daemon sets
-  /// a cap so a shard's log cannot grow monotonically over an unbounded
-  /// event stream: once the window overflows, the oldest records are
-  /// dropped in amortized-O(1) batches. Every Summary count and the
-  /// repair-time maximum stay exact across eviction; median/p99 are
-  /// computed over the retained window only.
-  void set_max_records(std::size_t n) {
-    max_records_ = n;
-    trim();
-  }
-  std::size_t max_records() const { return max_records_; }
-
-  /// Records ever added (retained + evicted).
-  std::size_t total_records() const { return total_records_; }
-  std::size_t evicted_records() const { return total_records_ - records_.size(); }
-
   struct Summary {
     std::size_t transitions = 0;  // records excluding noops (exact)
     std::size_t noops = 0;        // exact
@@ -92,54 +71,37 @@ class ReconfigLog {
     double median_repair_ms = 0.0;  // over the retained window
     double p99_repair_ms = 0.0;     // over the retained window
     double max_repair_ms = 0.0;     // exact across eviction
+
+    /// Fold one record in: the one place that classifies a record as noop,
+    /// transition, hitless, drained, wave commit or chain final.
+    void add(const TransitionRecord& r);
   };
+
+  /// Append a record, fold it into the exact totals and, with telemetry
+  /// on, into the `resilience.*` counters and the repair-time histogram.
+  void add(TransitionRecord r);
+
+  /// The retained record window, oldest first (see set_max_records).
+  const std::deque<TransitionRecord>& records() const { return log_.items(); }
+
+  /// Keep exactly the newest `n` records (0 = unbounded, the one-shot CLI
+  /// default). The resident daemon caps it so a shard's log cannot grow
+  /// over an unbounded event stream; every Summary count and the repair
+  /// maximum stay exact across eviction, median/p99 cover the window.
+  void set_max_records(std::size_t n) { log_.set_capacity(n); }
+
+  /// Records ever added (retained + evicted).
+  std::size_t total_records() const { return log_.total(); }
+  std::size_t evicted_records() const { return log_.evicted(); }
+
   Summary summarize() const;
 
   /// Summary counts plus the retained records, oldest first.
   Json to_json() const;
 
  private:
-  void absorb_into_totals(const TransitionRecord& r) {
-    ++total_records_;
-    ++total_by_step_[r.committed_step];
-    if (r.wave_count > 0) {
-      ++total_wave_commits_;
-      if (r.wave_index == r.wave_count) ++total_waved_;
-    }
-    if (r.committed_step == "noop") {
-      ++total_noops_;
-    } else {
-      ++total_transitions_;
-      if (r.hitless) ++total_hitless_;
-      if (r.drained) ++total_drained_;
-      if (r.repair_ms > max_repair_ms_) max_repair_ms_ = r.repair_ms;
-    }
-  }
-
-  /// Drop the oldest records down to half the cap once the window
-  /// overflows — halving batches make the vector erase amortized O(1)
-  /// per add. The totals above were folded in at add() time, so nothing
-  /// is lost but the per-record detail.
-  void trim() {
-    if (max_records_ == 0 || records_.size() <= max_records_) return;
-    const std::size_t keep = max_records_ - max_records_ / 2;
-    records_.erase(records_.begin(),
-                   records_.end() - static_cast<std::ptrdiff_t>(keep));
-  }
-
-  std::vector<TransitionRecord> records_;
-  std::size_t max_records_ = 0;
-  // Running aggregates over every record ever added, so summarize() stays
-  // exact after eviction.
-  std::size_t total_records_ = 0;
-  std::size_t total_transitions_ = 0;
-  std::size_t total_noops_ = 0;
-  std::size_t total_hitless_ = 0;
-  std::size_t total_drained_ = 0;
-  std::size_t total_waved_ = 0;
-  std::size_t total_wave_commits_ = 0;
-  std::map<std::string, std::size_t> total_by_step_;
-  double max_repair_ms_ = 0.0;
+  BoundedLog<TransitionRecord> log_;
+  Summary totals_;  // every record ever added; window fields unset
 };
 
 }  // namespace nue

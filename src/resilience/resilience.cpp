@@ -29,24 +29,23 @@ const char* rung_span_name(const char* rung) {
   return "resilience.rung";
 }
 
-/// Mirror a transition record onto the telemetry registry (the structured
-/// ReconfigLog stays the source of truth for --reconfig-json). The gate
-/// counters are touched with 0 on every record so they exist — as zeros —
-/// in the run report of a storm that never drained; the tier-1 storm
-/// smoke asserts exactly that via validate_json.py --zero.
-void publish_transition(const TransitionRecord& rec) {
-  if (!telemetry::enabled()) return;
-  telemetry::counter("resilience.transitions").add_always(1);
-  if (rec.hitless) telemetry::counter("resilience.hitless").add_always(1);
-  telemetry::counter("resilience.drains").add_always(rec.drained ? 1 : 0);
-  telemetry::counter("resilience.waves")
-      .add_always(rec.wave_count > 0 ? 1 : 0);
-  telemetry::counter("resilience.zero_drain_saves")
-      .add_always(rec.wave_count > 0 && rec.wave_index == rec.wave_count
-                      ? 1
-                      : 0);
-  telemetry::histogram("resilience.repair_us")
-      .record_always(static_cast<std::uint64_t>(rec.repair_ms * 1000.0));
+/// The record of intermediate epoch `index` of `chain`'s migration chain
+/// (whose wave_count is set): a hitless "wave" step of the same event.
+TransitionRecord wave_record(const TransitionRecord& chain, std::size_t index,
+                             std::size_t affected, std::string verdict,
+                             const Timer& timer) {
+  TransitionRecord w;
+  w.event = chain.event;
+  w.total_dests = chain.total_dests;
+  w.affected_dests = affected;
+  w.committed_step = "wave";
+  w.union_gate_checked = true;
+  w.hitless = true;
+  w.wave_index = static_cast<std::uint32_t>(index);
+  w.wave_count = chain.wave_count;
+  w.verdicts.push_back(std::move(verdict));
+  w.repair_ms = timer.millis();
+  return w;
 }
 
 }  // namespace
@@ -120,7 +119,6 @@ TransitionRecord ResilienceManager::apply(const FaultEvent& e) {
     rec.epoch = epoch();
     rec.repair_ms = timer.millis();
     log_.add(rec);
-    publish_transition(rec);
     return rec;
   }
 
@@ -164,8 +162,7 @@ TransitionRecord ResilienceManager::gate_and_commit(
     // acyclic (waves.hpp) — a chain of hitless swaps instead of a drain.
     TELEM_SPAN("resilience.wave_chain");
     Timer plan_timer;
-    const WavePlan plan =
-        schedule_waves(net_, *old, *cand.rr, policy_.max_waves);
+    const WavePlan plan = schedule_waves(net_, *old, *cand.rr, kMaxWaves);
     if (plan.ok()) {
       rec.hitless = true;
       rec.wave_count = static_cast<std::uint32_t>(plan.waves.size());
@@ -181,21 +178,11 @@ TransitionRecord ResilienceManager::gate_and_commit(
         for (NodeId d : plan.waves[w]) {
           take_new[cand.rr->dest_index(d)] = 1;
         }
-        TransitionRecord wrec;
-        wrec.event = rec.event;
-        wrec.total_dests = rec.total_dests;
-        wrec.affected_dests = plan.waves[w].size();
-        wrec.committed_step = "wave";
-        wrec.union_gate_checked = true;
-        wrec.hitless = true;
-        wrec.wave_index = static_cast<std::uint32_t>(w + 1);
-        wrec.wave_count = rec.wave_count;
         std::ostringstream wos;
         wos << "wave " << w + 1 << "/" << plan.waves.size() << ": migrated "
-            << plan.waves[w].size()
-            << " columns, union acyclic by schedule";
-        wrec.verdicts.push_back(wos.str());
-        wrec.repair_ms = timer.millis();
+            << plan.waves[w].size() << " columns, union acyclic by schedule";
+        TransitionRecord wrec =
+            wave_record(rec, w + 1, plan.waves[w].size(), wos.str(), timer);
         commit(blend_tables(net_, *old, *cand.rr, take_new), wrec);
       }
       // The chain's last epoch commits the candidate itself (not a
@@ -225,18 +212,9 @@ TransitionRecord ResilienceManager::gate_and_commit(
       os << "vl-shift chain: 2 epochs through lanes [" << shift << ", "
          << shift + cand.rr->num_vls() << ")";
       rec.verdicts.push_back(os.str());
-      TransitionRecord wrec;
-      wrec.event = rec.event;
-      wrec.total_dests = rec.total_dests;
-      wrec.affected_dests = rec.total_dests;  // every column changes lanes
-      wrec.committed_step = "wave";
-      wrec.union_gate_checked = true;
-      wrec.hitless = true;
-      wrec.wave_index = 1;
-      wrec.wave_count = 2;
-      wrec.verdicts.push_back(
-          "wave 1/2: vl-shifted candidate, union vertex-disjoint");
-      wrec.repair_ms = timer.millis();
+      TransitionRecord wrec = wave_record(
+          rec, 1, rec.total_dests,  // every column changes lanes
+          "wave 1/2: vl-shifted candidate, union vertex-disjoint", timer);
       commit(shift_vls(net_, *cand.rr, shift), wrec);
       rec.committed_step = cand.step;
       rec.repair_ms = timer.millis();
@@ -333,7 +311,6 @@ ResilienceManager::Candidate ResilienceManager::run_ladder(
   }
 
   for (std::size_t i = 0; i < rungs.size(); ++i) {
-    const bool last = i + 1 == rungs.size();
     TELEM_SPAN(rung_span_name(rungs[i].name));
     telemetry::counter("resilience.ladder_rung").add(1);
     Timer t;
@@ -352,13 +329,6 @@ ResilienceManager::Candidate ResilienceManager::run_ladder(
     if (!err.empty()) {
       verdicts.push_back(std::string(rungs[i].name) + ": invalid table: " +
                          err);
-      continue;
-    }
-    if (!last && policy_.step_budget_ms > 0.0 && ms > policy_.step_budget_ms) {
-      std::ostringstream os;
-      os << rungs[i].name << ": over budget (" << ms << "ms > "
-         << policy_.step_budget_ms << "ms)";
-      verdicts.push_back(os.str());
       continue;
     }
     std::ostringstream okv;
@@ -506,7 +476,6 @@ void ResilienceManager::commit(RoutingResult rr, TransitionRecord& rec) {
     rec.epoch = ++epoch_;
   }
   log_.add(rec);
-  publish_transition(rec);
   if (hook_) hook_(net_, old.get(), *fresh, rec);
 }
 

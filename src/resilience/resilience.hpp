@@ -16,7 +16,6 @@
 //        incremental -> full recompute -> same engine with more VLs ->
 //        Nue fallback (which, per the paper's Lemma 3, cannot fail for any
 //        k >= 1 on a connected fabric),
-//      each rung under an optional wall-clock budget,
 //   3. runs the transition-safety gate before the atomic epoch swap: the
 //      union CDG of the old and new tables must be acyclic (UPR
 //      compatibility), because in-flight packets hold resources per the
@@ -60,15 +59,15 @@ enum class Engine : std::uint8_t { kNue, kDfsssp, kLash, kUpDown };
 const char* engine_name(Engine e);
 std::optional<Engine> engine_from_name(const std::string& s);
 
+/// Upper bound on the epochs of one wave chain; a schedule that needs
+/// more drains instead (bounded staleness: a fault-affected column is
+/// stale for at most kMaxWaves epochs).
+inline constexpr std::size_t kMaxWaves = 8;
+
 struct RepairPolicy {
   Engine engine = Engine::kNue;
   std::uint32_t vls = 4;      // base VL budget for every rung but more-vls
   std::uint32_t max_vls = 8;  // the more-vls rung's escalated budget
-  /// Wall-clock budget per ladder rung in milliseconds; a rung that
-  /// finishes over budget is discarded and the ladder descends. 0 (the
-  /// default) disables the budgets — deterministic CI runs want that. The
-  /// final rung is exempt: a table must always be produced.
-  double step_budget_ms = 0.0;
   std::uint64_t seed = 1;     // forwarded to Nue
   /// Worker threads for the routing engines (0 = process default).
   std::uint32_t num_threads = 1;
@@ -77,10 +76,6 @@ struct RepairPolicy {
   /// every gate failure back into a drain (the pre-wave behavior; the
   /// bench's baseline mode).
   bool enable_waves = true;
-  /// Upper bound on the epochs of one wave chain; a schedule that needs
-  /// more drains instead (bounded staleness: a fault-affected column is
-  /// stale for at most max_waves epochs).
-  std::size_t max_waves = 8;
   /// Retained ReconfigLog window (0 = unbounded, the one-shot CLI
   /// default). A resident manager processing an unbounded event stream
   /// must cap this or the verdict trail grows monotonically; summary

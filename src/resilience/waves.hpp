@@ -17,7 +17,7 @@
 // against a maintained topological order — candidates whose edges all go
 // forward are admitted in O(|edges|), others pay one Kahn pass). After a
 // wave commits, the old dependencies of its members are retired. A
-// bounded wave count (RepairPolicy::max_waves) and a stuck wave (no
+// bounded wave count (resilience::kMaxWaves) and a stuck wave (no
 // admissible destination) are the only failure modes, both reported as a
 // distinct verdict so the caller's drained fallback is never silent.
 //

@@ -17,14 +17,14 @@ Json JournalEntry::to_json() const {
   j.set("t_ms", Json(t_ms));
   j.set("fabric", fabric);
   j.set("kind", kind);
-  j.set("event", event);
-  j.set("epoch", epoch);
-  j.set("step", step);
-  j.set("hitless", hitless);
-  j.set("drained", drained);
-  j.set("wave_index", wave_index);
-  j.set("wave_count", wave_count);
-  j.set("repair_ms", Json(repair_ms));
+  j.set("event", rec.event);
+  j.set("epoch", rec.epoch);
+  j.set("step", rec.committed_step);
+  j.set("hitless", rec.hitless);
+  j.set("drained", rec.drained);
+  j.set("wave_index", rec.wave_index);
+  j.set("wave_count", rec.wave_count);
+  j.set("repair_ms", Json(rec.repair_ms));
   j.set("verdict", verdict);
   return j;
 }
@@ -32,7 +32,7 @@ Json JournalEntry::to_json() const {
 // --- EventJournal -----------------------------------------------------------
 
 EventJournal::EventJournal(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+    : ring_(capacity == 0 ? 1 : capacity) {}
 
 void EventJournal::open_file(const std::string& path, std::size_t max_bytes) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -45,7 +45,7 @@ void EventJournal::open_file(const std::string& path, std::size_t max_bytes) {
 
 std::uint64_t EventJournal::append(JournalEntry e) {
   std::lock_guard<std::mutex> lk(mu_);
-  e.seq = next_seq_++;
+  e.seq = ring_.total() + 1;
   e.t_ms = static_cast<double>(telemetry::now_ns()) / 1e6;
   const std::uint64_t seq = e.seq;
   if (file_.is_open()) {
@@ -67,18 +67,17 @@ std::uint64_t EventJournal::append(JournalEntry e) {
       file_bytes_ += line.size() + 1;
     }
   }
-  ring_.push_back(std::move(e));
-  if (ring_.size() > capacity_) ring_.pop_front();
-  ++total_;
+  ring_.push(std::move(e));
   return seq;
 }
 
 std::vector<JournalEntry> EventJournal::tail(std::size_t n,
                                              const std::string& fabric) const {
   std::lock_guard<std::mutex> lk(mu_);
+  const auto& items = ring_.items();
   std::vector<JournalEntry> out;
-  out.reserve(std::min(n, ring_.size()));
-  for (auto it = ring_.rbegin(); it != ring_.rend() && out.size() < n; ++it) {
+  out.reserve(std::min(n, items.size()));
+  for (auto it = items.rbegin(); it != items.rend() && out.size() < n; ++it) {
     if (!fabric.empty() && it->fabric != fabric) continue;
     out.push_back(*it);
   }
@@ -88,12 +87,12 @@ std::vector<JournalEntry> EventJournal::tail(std::size_t n,
 
 std::uint64_t EventJournal::total() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return total_;
+  return ring_.total();
 }
 
 std::uint64_t EventJournal::evicted() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return total_ > ring_.size() ? total_ - ring_.size() : 0;
+  return ring_.evicted();
 }
 
 std::uint64_t EventJournal::rotations() const {
@@ -104,10 +103,7 @@ std::uint64_t EventJournal::rotations() const {
 // --- FlightRecorder ---------------------------------------------------------
 
 FlightRecorder::FlightRecorder(const ObservabilityOptions& opts)
-    : dir_(opts.flightrec_dir),
-      max_bundles_(opts.flightrec_max_bundles),
-      journal_tail_(opts.flightrec_journal_tail),
-      max_spans_(opts.flightrec_spans) {
+    : dir_(opts.flightrec_dir), max_bundles_(opts.flightrec_max_bundles) {
   if (!dir_.empty()) {
     std::error_code ec;  // unwritable dir degrades to no bundles, below
     std::filesystem::create_directories(dir_, ec);
@@ -127,16 +123,16 @@ std::string FlightRecorder::trigger(const EventJournal& journal,
   Json bundle = Json::object();
   bundle.set("schema_version", 1);
   bundle.set("fabric", cause.fabric);
-  bundle.set("epoch", cause.epoch);
+  bundle.set("epoch", cause.rec.epoch);
   bundle.set("reason", cause.kind);
   bundle.set("cause", cause.to_json());
   Json entries = Json::array();
-  for (const JournalEntry& e : journal.tail(journal_tail_)) {
+  for (const JournalEntry& e : journal.tail(kJournalTail)) {
     entries.push_back(e.to_json());
   }
   bundle.set("journal", std::move(entries));
   Json spans = Json::array();
-  for (const auto& s : telemetry::Tracer::instance().recent_spans(max_spans_)) {
+  for (const auto& s : telemetry::Tracer::instance().recent_spans(kSpans)) {
     Json sj = Json::object();
     sj.set("name", std::string(s.name));
     sj.set("tid", s.tid);
@@ -154,7 +150,7 @@ std::string FlightRecorder::trigger(const EventJournal& journal,
   bundle.set("counters", std::move(counters));
 
   std::string path = dir_ + "/flightrec-" + cause.fabric + "-" +
-                     std::to_string(cause.epoch) + ".json";
+                     std::to_string(cause.rec.epoch) + ".json";
   std::ofstream os(path);
   if (!os) return "";  // unwritable dir: degrade silently, keep serving
   os << bundle.dump() << "\n";

@@ -22,17 +22,19 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "metrics/reconfig_log.hpp"
 #include "service/json.hpp"
+#include "util/bounded_log.hpp"
 
 namespace nue::service {
 
-/// One journal record. `kind` is the taxonomy the journal schema fixes:
+/// One journal record: a view of one TransitionRecord plus what the
+/// journal adds to it. `kind` is the taxonomy the journal schema fixes:
 ///   load / unload        — shard lifecycle
 ///   transition           — a committed repair epoch (chain finals too)
 ///   wave                 — an intermediate epoch of a migration chain
@@ -45,23 +47,19 @@ struct JournalEntry {
   double t_ms = 0.0;       // telemetry::now_ns() at append, in ms
   std::string fabric;
   std::string kind;
-  std::string event;       // fault-event description ("link-down 4", ...)
-  std::uint64_t epoch = 0;
-  std::string step;        // committed ladder rung ("incremental", ...)
-  bool hitless = false;
-  bool drained = false;
-  std::uint32_t wave_index = 0;
-  std::uint32_t wave_count = 0;
-  double repair_ms = 0.0;
+  /// The transition's own fields, its `verdicts` left empty (the one
+  /// line the entry shows is `verdict`). Load and unload entries set
+  /// only `event` (load: the generator spec) and `epoch`.
+  TransitionRecord rec;
   std::string verdict;     // gate/scheduler verdict line
 
   Json to_json() const;
 };
 
-/// Bounded, thread-safe journal ring. Appends assign monotone sequence
-/// numbers; total/evicted counts stay exact across eviction (same
-/// contract as the ReconfigLog). With a file attached, every entry is
-/// also written as one JSONL line, rotating FILE -> FILE.1 when the
+/// Thread-safe journal ring keeping exactly the newest `capacity` entries
+/// (a BoundedLog). Appends assign monotone sequence numbers; total/evicted
+/// counts stay exact across eviction. With a file attached, every entry
+/// is also written as one JSONL line, rotating FILE -> FILE.1 when the
 /// byte budget is hit.
 class EventJournal {
  public:
@@ -82,14 +80,10 @@ class EventJournal {
   std::uint64_t total() const;     // entries ever appended
   std::uint64_t evicted() const;   // entries dropped from the ring
   std::uint64_t rotations() const; // file rotations performed
-  std::size_t capacity() const { return capacity_; }
 
  private:
-  const std::size_t capacity_;
   mutable std::mutex mu_;
-  std::deque<JournalEntry> ring_;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t total_ = 0;
+  BoundedLog<JournalEntry> ring_;
   std::uint64_t rotations_ = 0;
   std::string file_path_;
   std::ofstream file_;
@@ -105,8 +99,6 @@ struct ObservabilityOptions {
   std::size_t journal_max_bytes = 8u << 20;
   std::string flightrec_dir;           // "" = flight recorder off
   std::size_t flightrec_max_bundles = 16;
-  std::size_t flightrec_journal_tail = 64;
-  std::size_t flightrec_spans = 512;
 };
 
 /// Gate-failure flight recorder: trigger() writes one bundle per
@@ -114,6 +106,9 @@ struct ObservabilityOptions {
 /// counted, not written — an anomaly storm must not fill the disk).
 class FlightRecorder {
  public:
+  static constexpr std::size_t kJournalTail = 64;  // entries per bundle
+  static constexpr std::size_t kSpans = 512;       // recent spans per bundle
+
   explicit FlightRecorder(const ObservabilityOptions& opts);
 
   bool enabled() const { return !dir_.empty(); }
@@ -131,8 +126,6 @@ class FlightRecorder {
  private:
   const std::string dir_;
   const std::size_t max_bundles_;
-  const std::size_t journal_tail_;
-  const std::size_t max_spans_;
   mutable std::mutex mu_;
   std::uint64_t bundles_ = 0;
   std::uint64_t suppressed_ = 0;

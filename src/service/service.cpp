@@ -1,5 +1,6 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <exception>
 #include <limits>
@@ -82,6 +83,19 @@ std::string gate_failure_verdict(const TransitionRecord& rec) {
   return rec.verdicts.empty() ? "" : rec.verdicts.back();
 }
 
+/// Fabric names become part of file names (the flight recorder's
+/// flightrec-<fabric>-<epoch>.json), so they are restricted to
+/// [A-Za-z0-9._-]{1,64}, minus the path components "." and "..".
+bool valid_fabric_name(const std::string& name) {
+  if (name.empty() || name.size() > 64 || name == "." || name == "..") {
+    return false;
+  }
+  return std::all_of(name.begin(), name.end(), [](char c) {
+    return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+           (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+  });
+}
+
 }  // namespace
 
 FaultEvent parse_fault_event(const Json& req) {
@@ -131,18 +145,9 @@ FabricShard::FabricShard(std::string name, std::string generate,
 
 JournalEntry FabricShard::make_entry(const TransitionRecord& rec,
                                      const std::string& kind) const {
-  JournalEntry e;
-  e.fabric = name_;
-  e.kind = kind;
-  e.event = rec.event;
-  e.epoch = rec.epoch;
-  e.step = rec.committed_step;
-  e.hitless = rec.hitless;
-  e.drained = rec.drained;
-  e.wave_index = rec.wave_index;
-  e.wave_count = rec.wave_count;
-  e.repair_ms = rec.repair_ms;
-  e.verdict = rec.verdicts.empty() ? "" : rec.verdicts.back();
+  JournalEntry e{.fabric = name_, .kind = kind, .rec = rec,
+                 .verdict = rec.verdicts.empty() ? "" : rec.verdicts.back()};
+  e.rec.verdicts = std::vector<std::string>();  // the entry keeps one line
   return e;
 }
 
@@ -233,32 +238,26 @@ Json FabricShard::storm(std::size_t count, std::uint64_t seed,
   std::lock_guard<std::mutex> lock(event_mu_);
   const FaultTrace trace =
       draw_fault_trace(mgr_.net(), generate_, seed, count, restore_fraction);
-  std::size_t transitions = 0, noops = 0, hitless = 0, drained = 0;
-  std::size_t waved = 0;
+  // Tallies the records apply() returns: one per event, chain finals
+  // standing for their whole migration chain.
+  ReconfigLog::Summary sum;
   for (const FaultEvent& e : trace.events) {
     events_.fetch_add(1, std::memory_order_relaxed);
     telemetry::counter("service.fault_events").add();
     const TransitionRecord rec = mgr_.apply(e);
     observe_transition(rec);
-    if (rec.committed_step == "noop") {
-      ++noops;
-    } else {
-      ++transitions;
-      if (rec.hitless) ++hitless;
-      if (rec.drained) ++drained;
-      if (rec.wave_count > 0) ++waved;
-    }
+    sum.add(rec);
   }
   Json r = ok_response("storm");
   r.set("fabric", name_);
   r.set("events", trace.events.size());
-  r.set("transitions", transitions);
-  r.set("noops", noops);
+  r.set("transitions", sum.transitions);
+  r.set("noops", sum.noops);
   // Counts, not the event response's booleans — distinct names keep the
   // one-envelope schema (managerd.schema.json) free of union types.
-  r.set("hitless_swaps", hitless);
-  r.set("drains", drained);
-  r.set("waved", waved);
+  r.set("hitless_swaps", sum.hitless);
+  r.set("drains", sum.drained);
+  r.set("waved", sum.waved);
   r.set("epoch", mgr_.epoch());
   return r;
 }
@@ -334,7 +333,10 @@ ManagerService::ManagerService(const ObservabilityOptions& obs)
 
 void ManagerService::load(const std::string& name, const std::string& generate,
                           resilience::RepairPolicy policy) {
-  NUE_CHECK_MSG(!name.empty(), "fabric name must be non-empty");
+  NUE_CHECK_MSG(valid_fabric_name(name),
+                "fabric name '" << name
+                                << "' must match [A-Za-z0-9._-]{1,64} and "
+                                   "not be '.' or '..'");
   // Build outside the map lock: loads are the slow path (full initial
   // route) and must not stall queries against existing shards.
   auto shard = std::make_shared<FabricShard>(name, generate, std::move(policy),
@@ -352,8 +354,8 @@ void ManagerService::load(const std::string& name, const std::string& generate,
   JournalEntry e;
   e.fabric = name;
   e.kind = "load";
-  e.event = generate;
-  e.epoch = shard->epoch();
+  e.rec.event = generate;
+  e.rec.epoch = shard->epoch();
   journal_.append(std::move(e));
 }
 
@@ -413,7 +415,7 @@ Json ManagerService::op_unload(const Json& req) {
       JournalEntry e;
       e.fabric = name;
       e.kind = "unload";
-      e.epoch = epoch;
+      e.rec.epoch = epoch;
       journal_.append(std::move(e));
       Json r = ok_response("unload");
       r.set("fabric", name);

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,7 +43,7 @@ JournalEntry entry(const std::string& fabric, const std::string& kind,
   JournalEntry e;
   e.fabric = fabric;
   e.kind = kind;
-  e.epoch = epoch;
+  e.rec.epoch = epoch;
   return e;
 }
 
@@ -54,6 +55,64 @@ resilience::RepairPolicy union_gate_policy(std::uint64_t seed) {
   pol.seed = seed;
   pol.num_threads = 1;
   return pol;
+}
+
+std::filesystem::path corpus(const std::string& name) {
+  return std::filesystem::path(NUE_TEST_CORPUS_DIR) / name;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path);
+  std::stringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+/// Apply every event of `trace` to shard `fabric` over the protocol.
+void replay_events(ManagerService& svc, const std::string& fabric,
+                   const FaultTrace& trace) {
+  for (const FaultEvent& e : trace.events) {
+    Json req = Json::object();
+    req.set("op", "event");
+    req.set("fabric", fabric);
+    req.set("kind", fault_event_name(e.kind));
+    req.set("id", e.id);
+    const Json resp = svc.handle(req);
+    ASSERT_TRUE(resp.boolean("ok")) << resp.dump();
+  }
+}
+
+/// Blank the wall-clock parts of a journal/reconfig document: `t_ms`,
+/// every `*repair_ms` member and the bracketed `[...ms]` timings inside
+/// verdict lines. What is left (seq, kinds, order, epochs, verdicts) is
+/// a pure function of the trace and the policy.
+std::string mask_timings(const std::string& doc) {
+  static const std::regex member(
+      R"re("(t_ms|\w*repair_ms)":-?[0-9][-+.eE0-9]*)re");
+  static const std::regex bracket(
+      R"(\[[-+.e0-9]+ms( \+ validate [-+.e0-9]+ms)?\])");
+  return std::regex_replace(std::regex_replace(doc, member, "\"$1\":0"),
+                            bracket, "[ms]");
+}
+
+/// Byte-compare `actual` with the committed corpus file `name`. On a
+/// mismatch the actual document is written to the test's temp dir and
+/// the neighbourhood of the first differing byte is reported.
+void expect_golden(const std::string& name, const std::string& actual) {
+  const std::string expected = read_file(corpus(name).string());
+  if (expected == actual) return;
+  const std::string out = ::testing::TempDir() + name;
+  std::ofstream(out) << actual;
+  std::size_t at = 0;
+  while (at < expected.size() && at < actual.size() &&
+         expected[at] == actual[at]) {
+    ++at;
+  }
+  const std::size_t from = at < 80 ? 0 : at - 80;
+  ADD_FAILURE() << name << " differs at byte " << at << "\n  expected: ..."
+                << expected.substr(from, 160) << "\n  actual:   ..."
+                << actual.substr(from, 160) << "\n(actual written to " << out
+                << ")";
 }
 
 /// Clean global telemetry sinks on both sides of every test: the live
@@ -96,7 +155,7 @@ TEST_F(LivePlane, JournalRingBoundsSeqAndFabricFilter) {
 
   const auto newest = j.tail(1);
   ASSERT_EQ(newest.size(), 1u);
-  EXPECT_EQ(newest[0].epoch, 10u);
+  EXPECT_EQ(newest[0].rec.epoch, 10u);
 }
 
 TEST_F(LivePlane, JournalFileMirrorsEveryAppendAndRotates) {
@@ -307,24 +366,15 @@ TEST_F(LivePlane, FlightRecorderBundlesTheShippedGateFailure) {
   const std::string dir = ::testing::TempDir() + "nue_liveplane_flightrec";
   std::filesystem::remove_all(dir);
 
-  const auto trace = load_fault_trace_file(
-      (std::filesystem::path(NUE_TEST_CORPUS_DIR) / "torus-3x3-union-gate.trace")
-          .string());
+  const auto trace =
+      load_fault_trace_file(corpus("torus-3x3-union-gate.trace").string());
   ASSERT_EQ(trace.generate, "torus:3x3:1");
 
   ObservabilityOptions obs;
   obs.flightrec_dir = dir;
   ManagerService svc(obs);
   svc.load("t", trace.generate, union_gate_policy(trace.seed));
-  for (const FaultEvent& e : trace.events) {
-    Json req = Json::object();
-    req.set("op", "event");
-    req.set("fabric", "t");
-    req.set("kind", fault_event_name(e.kind));
-    req.set("id", e.id);
-    const Json resp = svc.handle(req);
-    ASSERT_TRUE(resp.boolean("ok")) << resp.dump();
-  }
+  replay_events(svc, "t", trace);
 
   // The trace's last event forces the union gate to fail (see
   // test_fuzz_repro.cpp) — the recorder must have written a bundle.
@@ -363,9 +413,8 @@ TEST_F(LivePlane, FlightRecorderBundlesTheShippedGateFailure) {
 }
 
 TEST_F(LivePlane, TablesAreBitIdenticalWithLivePlaneOnAndOff) {
-  const auto trace = load_fault_trace_file(
-      (std::filesystem::path(NUE_TEST_CORPUS_DIR) / "torus-3x3-union-gate.trace")
-          .string());
+  const auto trace =
+      load_fault_trace_file(corpus("torus-3x3-union-gate.trace").string());
 
   // Off: plain offline replay, telemetry disabled, no journal.
   resilience::ResilienceManager offline(generate_topology(trace.generate).net,
@@ -430,6 +479,69 @@ TEST_F(LivePlane, StatusCarriesLatencySlosAndRequestHistograms) {
   }
   EXPECT_TRUE(saw_global);
   EXPECT_TRUE(saw_event_op);
+}
+
+// The journal JSONL mirror and the `reconfig-log` document of the
+// shipped union-gate trace are pinned byte for byte (timings masked):
+// sequence numbers, entry kinds, their order, epochs, steps, wave
+// linkage and verdict lines must not move.
+class JournalGolden : public LivePlane {};
+
+TEST_F(JournalGolden, UnionGateTraceMatchesCorpus) {
+  const auto trace =
+      load_fault_trace_file(corpus("torus-3x3-union-gate.trace").string());
+  ObservabilityOptions obs;
+  obs.journal_file = ::testing::TempDir() + "nue_journal_golden.jsonl";
+  std::filesystem::remove(obs.journal_file);
+  std::string log;
+  {
+    ManagerService svc(obs);
+    svc.load("t", trace.generate, union_gate_policy(trace.seed));
+    replay_events(svc, "t", trace);
+    const Json resp = svc.handle(
+        Json::parse(R"({"op":"reconfig-log","fabric":"t"})"));
+    ASSERT_TRUE(resp.boolean("ok")) << resp.dump();
+    log = resp.str("log");
+  }
+  expect_golden("torus-3x3-union-gate.journal.jsonl",
+                mask_timings(read_file(obs.journal_file)));
+  expect_golden("torus-3x3-union-gate.reconfig.json",
+                mask_timings(log) + "\n");
+  std::filesystem::remove(obs.journal_file);
+}
+
+// The `resilience.*` counters are a view of the reconfiguration log:
+// after a replay they agree with the log's own totals, noops and wave
+// intermediates included.
+class CounterParity : public LivePlane {};
+
+TEST_F(CounterParity, ResilienceCountersMatchTheLog) {
+  telemetry::EnabledScope on(true);
+  const auto trace =
+      load_fault_trace_file(corpus("torus-3x3-union-gate.trace").string());
+  resilience::ResilienceManager mgr(generate_topology(trace.generate).net,
+                                    union_gate_policy(trace.seed));
+  mgr.replay(trace);
+
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [name, value] :
+       telemetry::Registry::instance().counter_snapshot()) {
+    counters[name] = value;
+  }
+  const auto s = mgr.log().summarize();
+  ASSERT_GT(s.waved, 0u) << "trace no longer exercises a wave chain";
+  ASSERT_GT(s.noops, 0u) << "trace no longer exercises a noop";
+  EXPECT_EQ(counters["resilience.transitions"], mgr.log().total_records());
+  EXPECT_EQ(counters["resilience.hitless"], s.hitless);
+  EXPECT_EQ(counters["resilience.drains"], s.drained);
+  EXPECT_EQ(counters["resilience.waves"], s.wave_commits);
+  EXPECT_EQ(counters["resilience.zero_drain_saves"], s.waved);
+
+  std::uint64_t repair_samples = 0;
+  for (const auto& h : telemetry::Registry::instance().histogram_snapshot()) {
+    if (h.name == "resilience.repair_us") repair_samples = h.count;
+  }
+  EXPECT_EQ(repair_samples, mgr.log().total_records());
 }
 
 }  // namespace

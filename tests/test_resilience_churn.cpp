@@ -78,7 +78,8 @@ TEST(ReconfigLogRetention, EvictionKeepsAggregatesExact) {
     ++by_step[r.committed_step];
     log.add(r);
     unbounded.add(r);
-    EXPECT_LE(log.records().size(), 16u);
+    // Exactly the newest min(i + 1, 16) records: no batch trimming.
+    EXPECT_EQ(log.records().size(), std::min<std::size_t>(i + 1, 16));
   }
   EXPECT_EQ(log.total_records(), 1000u);
   EXPECT_EQ(log.evicted_records(), 1000u - log.records().size());

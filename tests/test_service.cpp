@@ -85,6 +85,31 @@ TEST(ManagerServiceDispatch, ErrorsAreEnvelopedNotThrown) {
   EXPECT_EQ(echoed.find("req_id")->as_number(), 42.0);
 }
 
+// Fabric names end up in file names (flightrec-<fabric>-<epoch>.json):
+// anything outside [A-Za-z0-9._-]{1,64}, and the path components "." and
+// "..", is refused with the error envelope before a shard is built.
+TEST(ManagerServiceDispatch, LoadRejectsUnsafeFabricNames) {
+  ManagerService svc;
+  for (const std::string& name : std::vector<std::string>{
+           "a/b", "..", ".", "", "a b", "x\\y", std::string(65, 'n')}) {
+    Json req = Json::object();
+    req.set("op", "load");
+    req.set("fabric", name);
+    req.set("generate", "torus:3x3:1");
+    const Json resp = svc.handle(req);
+    EXPECT_FALSE(resp.boolean("ok")) << "accepted fabric name '" << name << "'";
+    EXPECT_NE(resp.str("error").find("fabric name"), std::string::npos)
+        << resp.dump();
+  }
+  EXPECT_EQ(svc.journal().total(), 0u) << "a refused load must not journal";
+  for (const char* name : {"storm-0", "a", "t", "v1.2_x"}) {
+    EXPECT_NO_THROW(svc.load(name, "torus:3x3:1", resilience::RepairPolicy{}))
+        << name;
+  }
+  EXPECT_THROW(svc.load("a/b", "torus:3x3:1", resilience::RepairPolicy{}),
+               std::logic_error);
+}
+
 TEST(ManagerServiceDispatch, LoadRouteEventUnload) {
   ManagerService svc;
   ASSERT_TRUE(svc.handle(Json::parse(
