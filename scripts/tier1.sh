@@ -32,11 +32,17 @@ cmake -B build-ubsan -S . -DSANITIZE=undefined
 cmake --build build-ubsan -j --target route_fuzz
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ./build-ubsan/tools/route_fuzz --smoke --json build-ubsan/fuzz.json
-# The fuzz summary must be JSON and agree with the exit status above.
+# The fuzz summary must be JSON and agree with the exit status above, and
+# the matrix must be exactly the engine catalogue's: an edit that drops an
+# engine or changes which scenarios apply moves these counts.
 python3 -c "
 import json
 s = json.load(open('build-ubsan/fuzz.json'))
 assert s['scenarios'] > 0 and s['violations'] == 0 and s['failures'] == [], s
+matrix = {k: s[k] for k in
+          ('scenarios', 'inapplicable', 'sim_checked', 'reconfig_checked')}
+assert matrix == {'scenarios': 153, 'inapplicable': 21, 'sim_checked': 127,
+                  'reconfig_checked': 5}, matrix
 "
 
 # Live-reconfiguration smoke (docs/RESILIENCE.md): replay the committed

@@ -8,15 +8,13 @@
 // is a pure function of the spec, so a spec alone replays a failure
 // bit-for-bit on any machine and at any thread count.
 //
-// The oracle checks every invariant the engines promise:
+// The oracle checks every invariant the engines promise, reading the
+// promises from the engine catalogue (nue/engines.hpp):
 //   * reachability among alive terminals (validate_routing: connected,
 //     no node revisited),
 //   * VL sanity (vl_in_range, table VL count within the spec's budget),
-//   * CDG acyclicity (Theorem 1) for every engine that promises
-//     deadlock freedom (all except MinHop),
-//   * per-hop minimality against a BFS lower bound where the engine
-//     promises it (MinHop/DFSSSP/LASH always; fat-tree and Torus-2QoS on
-//     pristine fabrics),
+//   * CDG acyclicity (Theorem 1) where the row promises deadlock freedom,
+//   * per-hop minimality against a BFS lower bound where it promises it,
 //   * differentially, on small instances: a routing whose CDG the static
 //     validator calls acyclic must not deadlock the flit simulator.
 //
@@ -33,6 +31,7 @@
 #include <vector>
 
 #include "graph/network.hpp"
+#include "nue/engines.hpp"
 #include "routing/routing.hpp"
 #include "routing/validate.hpp"
 #include "topology/torus.hpp"
@@ -40,24 +39,12 @@
 
 namespace nue::fuzz {
 
-enum class Engine : std::uint8_t {
-  kNue,
-  kUpDown,
-  kMinHop,
-  kDfsssp,
-  kLash,
-  kTorusQos,
-  kFatTree,
-};
-
 /// Deliberate table breakage for oracle self-tests: both mutations are
 /// constructed so a sound oracle MUST flag them (the broken entry is
 /// always on a validated source->destination walk).
 enum class Mutation : std::uint8_t { kNone, kVlOverflow, kDropEntry };
 
-const char* engine_name(Engine e);
 const char* mutation_name(Mutation m);
-std::optional<Engine> engine_from_name(const std::string& s);
 std::optional<Mutation> mutation_from_name(const std::string& s);
 
 struct ScenarioSpec {
@@ -192,9 +179,9 @@ OracleReport run_scenario(const ScenarioSpec& spec,
 /// wave chain (src/resilience/waves.hpp) are exempt from full validation
 /// (bounded staleness is their design) but every one must pass the
 /// pairwise union re-check against its predecessor. An event the manager
-/// cannot survive is reconfig-event-crash. Engines without a live repair
-/// mode (minhop, torus-qos, fattree) report as inapplicable. `build_out`
-/// receives the pre-trace fabric, so reproducer dumps stay comparable.
+/// cannot survive is reconfig-event-crash. Engines whose catalogue row
+/// cannot repair report as inapplicable. `build_out` receives the
+/// pre-trace fabric, so reproducer dumps stay comparable.
 OracleReport run_reconfig_scenario(const ScenarioSpec& spec,
                                    const std::vector<Removal>& removals = {},
                                    const OracleConfig& cfg = {},
@@ -257,16 +244,14 @@ struct ScenarioOutcome {
 ScenarioSpec draw_scenario(std::uint64_t base_seed, std::uint64_t index);
 
 /// Random reconfiguration scenario: same topology/fault cross product as
-/// draw_scenario, engine restricted to the live repair engines
-/// (nue/updown/dfsssp/lash) and 3-8 trace events. Pure function of
-/// (base_seed, index).
+/// draw_scenario, engine restricted to the repair engines, 3-8 trace
+/// events. Pure function of (base_seed, index).
 ScenarioSpec draw_reconfig_scenario(std::uint64_t base_seed,
                                     std::uint64_t index);
 
-/// Fixed-seed smoke corpus: every topology generator x every applicable
-/// engine (nue/updown/minhop/dfsssp/lash everywhere, torus-qos on the
-/// torus, fattree on the fat tree) x VL budgets {1,4} x {pristine,
-/// 2 link faults}. Small fabrics; the whole corpus runs in seconds.
+/// Fixed-seed smoke corpus: every topology generator x every engine its
+/// wiring admits x VL budgets {min_vls,4} x {pristine, 2 link faults}.
+/// Small fabrics; the whole corpus runs in seconds.
 std::vector<ScenarioSpec> smoke_corpus(std::uint64_t base_seed);
 
 /// Run scenarios concurrently on the shared thread pool, one independent

@@ -13,30 +13,6 @@ namespace nue::fuzz {
 
 namespace {
 
-/// Engines whose tables must be hop-minimal. Fat-tree d-mod-k and the
-/// Torus-2QoS dateline scheme are minimal only on pristine fabrics (fault
-/// avoidance legitimately detours); Nue and Up*/Down* never promise
-/// minimality (routing restrictions forbid some shortest paths).
-bool promises_minimality(Engine e, bool degraded) {
-  switch (e) {
-    case Engine::kMinHop:
-    case Engine::kDfsssp:
-    case Engine::kLash:
-      return true;
-    case Engine::kFatTree:
-    case Engine::kTorusQos:
-      return !degraded;
-    case Engine::kNue:
-    case Engine::kUpDown:
-      return false;
-  }
-  return false;
-}
-
-/// Every engine except the deliberately-unsafe MinHop control promises an
-/// acyclic channel dependency graph.
-bool promises_deadlock_freedom(Engine e) { return e != Engine::kMinHop; }
-
 void add_violation(OracleReport& rep, const std::string& kind,
                    const std::string& detail) {
   rep.violations.push_back(kind + ": " + detail);
@@ -112,21 +88,19 @@ OracleReport check_scenario(const ScenarioSpec& spec,
                   "table assigns a VL >= num_vls (" +
                       std::to_string(rr.num_vls()) + ")");
   }
-  // Torus-2QoS always takes its 2 dateline VLs, even under a 1-VL budget
-  // request (the spec generator never asks it for fewer).
-  const std::uint32_t budget =
-      spec.engine == Engine::kTorusQos ? std::max(spec.vls, 2u) : spec.vls;
+  // Torus-2QoS takes its 2 dateline VLs whatever the budget.
+  const EngineInfo& promises = engine_info(spec.engine);
+  const std::uint32_t budget = std::max(spec.vls, promises.min_vls);
   if (rr.num_vls() > budget) {
     std::stringstream ss;
     ss << "table uses " << rr.num_vls() << " VLs, budget is " << budget;
     add_violation(rep, "vl-budget-exceeded", ss.str());
   }
-  if (!rep.validation.deadlock_free &&
-      promises_deadlock_freedom(spec.engine)) {
+  if (!rep.validation.deadlock_free && promises.deadlock_free) {
     add_violation(rep, "cdg-cycle", rep.validation.detail);
   }
 
-  if (promises_minimality(spec.engine, build.degraded) &&
+  if (promises.minimal(build.degraded) &&
       rep.validation.connected && rep.validation.cycle_free) {
     check_minimality(net, rr, rep);
   }

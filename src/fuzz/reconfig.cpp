@@ -22,20 +22,6 @@ namespace {
 // reconfig scenarios do not replay the fault injector's choices.
 constexpr std::uint64_t kReconfigSalt = 0x7EC04F16C0DEULL;
 
-std::optional<resilience::Engine> repair_engine(Engine e) {
-  switch (e) {
-    case Engine::kNue: return resilience::Engine::kNue;
-    case Engine::kUpDown: return resilience::Engine::kUpDown;
-    case Engine::kDfsssp: return resilience::Engine::kDfsssp;
-    case Engine::kLash: return resilience::Engine::kLash;
-    case Engine::kMinHop:
-    case Engine::kTorusQos:
-    case Engine::kFatTree:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 void add_violation(OracleReport& rep, const std::string& kind,
                    const std::string& detail) {
   rep.violations.push_back(kind + ": " + detail);
@@ -92,8 +78,7 @@ OracleReport run_reconfig_scenario(const ScenarioSpec& spec,
   (void)cfg;  // the flit-sim differential check stays with the static family
   OracleReport rep;
   ScenarioBuild build = build_scenario(spec, removals);
-  const auto engine = repair_engine(spec.engine);
-  if (!engine.has_value()) {
+  if (!engine_info(spec.engine).repairs) {
     rep.applicable = false;
     rep.engine_error = std::string(engine_name(spec.engine)) +
                        " has no live repair mode";
@@ -105,7 +90,7 @@ OracleReport run_reconfig_scenario(const ScenarioSpec& spec,
                        spec.reconfig_events);
 
   resilience::RepairPolicy policy;
-  policy.engine = *engine;
+  policy.engine = spec.engine;
   policy.vls = spec.vls;
   policy.max_vls = std::max(spec.vls, 8u);
   policy.seed = spec.seed;
@@ -213,9 +198,11 @@ ScenarioSpec draw_reconfig_scenario(std::uint64_t base_seed,
                                     std::uint64_t index) {
   ScenarioSpec s = draw_scenario(base_seed, index);
   Rng rng(base_seed ^ kReconfigSalt ^ ((index + 1) * 0x9E3779B97F4A7C15ULL));
-  const Engine engines[] = {Engine::kNue, Engine::kUpDown, Engine::kDfsssp,
-                            Engine::kLash};
-  s.engine = engines[rng.next_below(4)];
+  std::vector<Engine> engines;
+  for (std::size_t i = 0; i < kNumEngines; ++i) {
+    if (kEngines[i].repairs) engines.push_back(static_cast<Engine>(i));
+  }
+  s.engine = engines[rng.next_below(engines.size())];
   s.mutation = Mutation::kNone;
   s.reconfig_events = 3 + rng.next_below(6);
   return s;

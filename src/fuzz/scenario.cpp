@@ -2,15 +2,10 @@
 // injection, engine dispatch, deliberate mutations, and batch drawing.
 #include "fuzz/fuzz.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "graph/algorithms.hpp"
-#include "nue/nue_routing.hpp"
-#include "routing/dfsssp.hpp"
-#include "routing/fattree_routing.hpp"
-#include "routing/lash.hpp"
-#include "routing/torus_qos.hpp"
-#include "routing/updown.hpp"
 #include "topology/faults.hpp"
 #include "topology/misc_topologies.hpp"
 #include "util/error.hpp"
@@ -162,20 +157,18 @@ void apply_removal(Network& net, const Removal& r) {
   NUE_CHECK_MSG(is_connected(net), "removal disconnects the fabric");
 }
 
-}  // namespace
-
-const char* engine_name(Engine e) {
-  switch (e) {
-    case Engine::kNue: return "nue";
-    case Engine::kUpDown: return "updown";
-    case Engine::kMinHop: return "minhop";
-    case Engine::kDfsssp: return "dfsssp";
-    case Engine::kLash: return "lash";
-    case Engine::kTorusQos: return "torus-qos";
-    case Engine::kFatTree: return "fattree";
+/// Catalogue engines the generator spec's kind admits, in enum order.
+std::vector<Engine> engines_for(const std::string& gen) {
+  const std::string kind = gen.substr(0, gen.find(':'));
+  std::vector<Engine> out;
+  for (std::size_t i = 0; i < kNumEngines; ++i) {
+    const char* need = kEngines[i].generator;
+    if (*need == '\0' || kind == need) out.push_back(static_cast<Engine>(i));
   }
-  return "?";
+  return out;
 }
+
+}  // namespace
 
 const char* mutation_name(Mutation m) {
   switch (m) {
@@ -184,15 +177,6 @@ const char* mutation_name(Mutation m) {
     case Mutation::kDropEntry: return "drop-entry";
   }
   return "?";
-}
-
-std::optional<Engine> engine_from_name(const std::string& s) {
-  for (Engine e : {Engine::kNue, Engine::kUpDown, Engine::kMinHop,
-                   Engine::kDfsssp, Engine::kLash, Engine::kTorusQos,
-                   Engine::kFatTree}) {
-    if (s == engine_name(e)) return e;
-  }
-  return std::nullopt;
 }
 
 std::optional<Mutation> mutation_from_name(const std::string& s) {
@@ -229,54 +213,17 @@ ScenarioBuild build_scenario(const ScenarioSpec& spec,
 
 EngineOutcome run_engine(const ScenarioSpec& spec, const ScenarioBuild& build) {
   EngineOutcome out;
-  const auto dests = build.net.terminals();
-  // Zahavi-style d-mod-k routing assumes the full k-ary n-tree wiring;
-  // a degraded tree is outside its contract, not an engine bug.
-  if (spec.engine == Engine::kFatTree && build.degraded) {
-    out.error = "fat-tree routing requires a pristine k-ary n-tree";
+  // Fat-tree d-mod-k on a degraded tree is outside its contract.
+  if (engine_info(spec.engine).needs_pristine && build.degraded) {
+    out.error = std::string(engine_name(spec.engine)) +
+                " routing requires a pristine fabric";
     return out;
   }
+  // 1 thread: scenarios parallelize across, not within.
+  const EngineArgs args{.vls = spec.vls, .seed = spec.seed, .threads = 1,
+                        .torus = build.torus, .fattree = build.fattree};
   try {
-    switch (spec.engine) {
-      case Engine::kNue: {
-        NueOptions opt;
-        opt.num_vls = spec.vls;
-        opt.seed = spec.seed;
-        opt.num_threads = 1;  // scenarios parallelize across, not within
-        out.rr = route_nue(build.net, dests, opt);
-        break;
-      }
-      case Engine::kUpDown:
-        out.rr = route_updown(build.net, dests);
-        break;
-      case Engine::kMinHop:
-        out.rr = route_minhop(build.net, dests);
-        break;
-      case Engine::kDfsssp: {
-        DfssspOptions opt;
-        opt.max_vls = spec.vls;
-        opt.num_threads = 1;
-        out.rr = route_dfsssp(build.net, dests, opt);
-        break;
-      }
-      case Engine::kLash: {
-        LashOptions opt;
-        opt.max_vls = spec.vls;
-        opt.num_threads = 1;
-        out.rr = route_lash(build.net, dests, opt);
-        break;
-      }
-      case Engine::kTorusQos:
-        NUE_CHECK_MSG(build.torus.has_value(),
-                      "torus-qos scenario on a non-torus generator");
-        out.rr = route_torus_qos(build.net, *build.torus, dests);
-        break;
-      case Engine::kFatTree:
-        NUE_CHECK_MSG(build.fattree.has_value(),
-                      "fattree scenario on a non-fattree generator");
-        out.rr = route_fattree(build.net, *build.fattree, dests);
-        break;
-    }
+    out.rr = route_engine(spec.engine, build.net, build.net.terminals(), args);
   } catch (const RoutingFailure& e) {
     out.error = e.what();
   } catch (const std::exception& e) {
@@ -334,10 +281,8 @@ ScenarioSpec draw_scenario(std::uint64_t base_seed, std::uint64_t index) {
   ScenarioSpec s;
   s.seed = rng.next_u64();
   std::stringstream gen;
-  bool is_torus = false, is_fattree = false;
   switch (rng.next_below(7)) {
     case 0: {  // torus, 2-3 dims
-      is_torus = true;
       const auto nd = 2 + rng.next_below(2);
       gen << "torus:";
       for (std::uint64_t i = 0; i < nd; ++i) {
@@ -347,7 +292,6 @@ ScenarioSpec draw_scenario(std::uint64_t base_seed, std::uint64_t index) {
       break;
     }
     case 1: {  // k-ary n-tree
-      is_fattree = true;
       gen << "fattree:" << 2 + rng.next_below(2) << ":" << 2 + rng.next_below(2)
           << ":" << 1 + rng.next_below(2);
       break;
@@ -391,15 +335,11 @@ ScenarioSpec draw_scenario(std::uint64_t base_seed, std::uint64_t index) {
     }
   }
   s.generate = gen.str();
-  std::vector<Engine> engines = {Engine::kNue, Engine::kUpDown,
-                                 Engine::kMinHop, Engine::kDfsssp,
-                                 Engine::kLash};
-  if (is_torus) engines.push_back(Engine::kTorusQos);
-  if (is_fattree) engines.push_back(Engine::kFatTree);
+  const std::vector<Engine> engines = engines_for(s.generate);
   s.engine = engines[rng.next_below(engines.size())];
   const std::uint32_t vl_choices[] = {1, 2, 4, 8};
-  s.vls = vl_choices[rng.next_below(4)];
-  if (s.engine == Engine::kTorusQos && s.vls < 2) s.vls = 2;
+  s.vls = std::max(vl_choices[rng.next_below(4)],
+                   engine_info(s.engine).min_vls);
   if (rng.next_bool(0.65)) {
     s.fail_links = rng.next_below(4);
     s.fail_switches = rng.next_bool(0.3) ? 1 : 0;
@@ -408,37 +348,22 @@ ScenarioSpec draw_scenario(std::uint64_t base_seed, std::uint64_t index) {
 }
 
 std::vector<ScenarioSpec> smoke_corpus(std::uint64_t base_seed) {
-  struct TopoEntry {
-    const char* gen;
-    bool torus;
-    bool fattree;
-  };
   // One small instance per generator family; every fabric stays under the
   // differential-sim size bound so the simulator cross-check runs on the
   // entire corpus.
-  const TopoEntry topos[] = {
-      {"torus:3x3:2", true, false},
-      {"fattree:2:3:2", false, true},
-      {"clos:6,3:2:12", false, false},
-      {"kautz:2:2:2:1", false, false},
-      {"dragonfly:4:1:2:4", false, false},
-      {"hyperx:3x3:1", false, false},
-      {"random:10:20:2:5", false, false},
+  const char* const topos[] = {
+      "torus:3x3:2",     "fattree:2:3:2",     "clos:6,3:2:12",
+      "kautz:2:2:2:1",   "dragonfly:4:1:2:4", "hyperx:3x3:1",
+      "random:10:20:2:5",
   };
   std::vector<ScenarioSpec> specs;
-  for (const auto& topo : topos) {
-    std::vector<Engine> engines = {Engine::kNue, Engine::kUpDown,
-                                   Engine::kMinHop, Engine::kDfsssp,
-                                   Engine::kLash};
-    if (topo.torus) engines.push_back(Engine::kTorusQos);
-    if (topo.fattree) engines.push_back(Engine::kFatTree);
-    for (Engine e : engines) {
-      const std::uint32_t vls_low = e == Engine::kTorusQos ? 2 : 1;
-      for (std::uint32_t vls : {vls_low, 4u}) {
+  for (const char* topo : topos) {
+    for (Engine e : engines_for(topo)) {
+      for (std::uint32_t vls : {engine_info(e).min_vls, 4u}) {
         for (std::size_t faults : {std::size_t{0}, std::size_t{2}}) {
           ScenarioSpec s;
           s.seed = base_seed + specs.size();
-          s.generate = topo.gen;
+          s.generate = topo;
           s.engine = e;
           s.vls = vls;
           s.fail_links = faults;

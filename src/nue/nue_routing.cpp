@@ -23,6 +23,18 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Backtracking alternatives remembered per node (§4.6.2).
+constexpr std::uint32_t kAltStackLimit = 8;
+/// Channel weights start at 1 + kBalanceDamping and grow by one per path,
+/// which damps the early-step volatility of the balancing weights (see
+/// docs/ALGORITHM.md §5). The offset is fixed, not tuned per fabric: on
+/// fattree:8:3 at k = 1 it leaves 147 escape fallbacks where 500 leaves 0.
+constexpr double kBalanceDamping = 50.0;
+/// Escape-tree roots a hitless reroute tries besides the preferred one
+/// before reverting to the escape-first setup; each try is one BFS and
+/// checked marking pass per layer, so the cap bounds repair latency.
+constexpr std::size_t kRerouteRootAttempts = 16;
+
 /// Routes all destinations of one virtual layer inside that layer's
 /// complete CDG.
 ///
@@ -59,7 +71,7 @@ class LayerRouter {
     escape_seen_ = scratch_.alloc<std::uint8_t>(n);
     intact_ = scratch_.alloc<std::uint8_t>(n);
     keep_flags_ = scratch_.alloc_filled<std::uint8_t>(idx.num_edges(), 0);
-    alt_data_ = scratch_.alloc<ChannelId>(n * opt.alt_stack_limit);
+    alt_data_ = scratch_.alloc<ChannelId>(n * kAltStackLimit);
     alt_cnt_ = scratch_.alloc<std::uint32_t>(n);
     alt_gen_ = scratch_.alloc_filled<std::uint32_t>(n, 0);
     bfs_ = FixedVec<NodeId>(scratch_, n);
@@ -92,14 +104,8 @@ class LayerRouter {
   /// Pre-mark the escape paths (Definition 7) toward every destination of
   /// this layer as `used` with one shared subgraph id.
   void init_escape_paths(const std::vector<NodeId>& dests) {
-    // Initial channel weight: damping x the expected per-channel usage
-    // accumulated over this layer's steps. A higher base suppresses the
-    // early-step volatility of the balancing weights (when few updates
-    // have happened, a 2x weight difference would cause erratic detours);
-    // relative differences then grow to their natural scale as the layer
-    // progresses, like the late steps of a k=1 run.
     std::fill(weights_, weights_ + net_.num_channels(),
-              1.0 + opt_.balance_damping);
+              1.0 + kBalanceDamping);
     std::vector<ChannelId> escape_channels;
     for (NodeId d : dests) {
       compute_escape_next(d);
@@ -124,7 +130,7 @@ class LayerRouter {
   /// recompute the layer from scratch.
   bool init_escape_paths_checked(const std::vector<NodeId>& dests) {
     std::fill(weights_, weights_ + net_.num_channels(),
-              1.0 + opt_.balance_damping);
+              1.0 + kBalanceDamping);
     std::vector<ChannelId> escape_channels;
     for (NodeId d : dests) {
       compute_escape_next(d);
@@ -418,7 +424,7 @@ class LayerRouter {
   /// Backtracking alternatives of v recorded this step (empty if stale).
   std::span<const ChannelId> alts_of(NodeId v) const {
     if (alt_gen_[v] != alts_epoch_) return {};
-    return {alt_data_ + static_cast<std::size_t>(v) * opt_.alt_stack_limit,
+    return {alt_data_ + static_cast<std::size_t>(v) * kAltStackLimit,
             alt_cnt_[v]};
   }
 
@@ -614,12 +620,12 @@ class LayerRouter {
       alt_cnt_[v] = 0;
     }
     ChannelId* a =
-        alt_data_ + static_cast<std::size_t>(v) * opt_.alt_stack_limit;
+        alt_data_ + static_cast<std::size_t>(v) * kAltStackLimit;
     std::uint32_t& cnt = alt_cnt_[v];
     for (std::uint32_t i = 0; i < cnt; ++i) {
       if (a[i] == c) return;
     }
-    if (cnt < opt_.alt_stack_limit) {
+    if (cnt < kAltStackLimit) {
       a[cnt++] = c;
     } else if (cnt > 0) {
       // Keep the most recent alternatives (ring overwrite).
@@ -663,7 +669,7 @@ class LayerRouter {
   double* weights_ = nullptr;
   ChannelId* tree_adj_pool_ = nullptr;      // escape spanning tree, CSR
   std::uint32_t* tree_adj_begin_ = nullptr;
-  ChannelId* alt_data_ = nullptr;           // nodes x alt_stack_limit
+  ChannelId* alt_data_ = nullptr;           // nodes x kAltStackLimit
   std::uint32_t* alt_cnt_ = nullptr;
   std::uint32_t* alt_gen_ = nullptr;
   ChannelId* escape_next_ = nullptr;
@@ -934,12 +940,11 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
               alts.push_back(s);
             }
           }
-          if (opt.reroute_root_attempts > 0 &&
-              alts.size() > opt.reroute_root_attempts) {
+          if (alts.size() > kRerouteRootAttempts) {
             // Spread the capped attempts across the fabric instead of
             // clustering them on the lowest switch ids.
-            const std::size_t step = alts.size() / opt.reroute_root_attempts;
-            for (std::size_t i = 0; i < opt.reroute_root_attempts; ++i) {
+            const std::size_t step = alts.size() / kRerouteRootAttempts;
+            for (std::size_t i = 0; i < kRerouteRootAttempts; ++i) {
               candidates.push_back(alts[i * step]);
             }
           } else {

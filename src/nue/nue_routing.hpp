@@ -35,8 +35,6 @@ struct NueOptions {
   bool backtracking = true;
   /// §4.6.3 shortcuts: let resolved islands shorten already-settled nodes.
   bool shortcuts = true;
-  /// Maximum alternatives remembered per node for backtracking.
-  std::uint32_t alt_stack_limit = 8;
   /// Keep blocked-edge marks across destination steps, so routing
   /// restrictions accumulate for the layer's lifetime exactly as in the
   /// paper (§4.6.1 relies on it: a condition-(d) search runs at most once
@@ -46,20 +44,6 @@ struct NueOptions {
   /// step: marginally fewer escape fallbacks on some fabrics, but several
   /// times slower (ablation bench compares both).
   bool sticky_restrictions = true;
-  /// Initial channel weight offset (weights start at 1 + damping and grow
-  /// by one per path). Damps the early-step volatility of the balancing
-  /// weights: with a low base, the first destinations of a layer see huge
-  /// relative weight differences and take erratic detours whose
-  /// dependencies then obstruct everyone else. 50 is robust across the
-  /// evaluated topology families (swept in the ablation bench).
-  double balance_damping = 50.0;
-  /// Incremental rerouting only: how many escape-tree roots to try for a
-  /// hitless repair (the preferred betweenness-central root plus up to
-  /// this many alternatives) before giving up on old-dependency
-  /// compatibility and reverting to the unconditional escape-first setup.
-  /// Each attempt is one BFS + checked marking pass per layer, so the cap
-  /// bounds the repair latency; 0 tries every alive switch.
-  std::uint32_t reroute_root_attempts = 16;
   /// Incremental rerouting only: escape-root hints indexed by virtual
   /// layer (kInvalidNode = no hint; dead or non-switch entries ignored).
   /// The previous table's roots are the natural candidates — their full

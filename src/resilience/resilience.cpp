@@ -5,10 +5,7 @@
 
 #include "nue/nue_routing.hpp"
 #include "resilience/waves.hpp"
-#include "routing/dfsssp.hpp"
-#include "routing/lash.hpp"
 #include "routing/sssp_engine.hpp"
-#include "routing/updown.hpp"
 #include "routing/validate.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -50,26 +47,10 @@ TransitionRecord wave_record(const TransitionRecord& chain, std::size_t index,
 
 }  // namespace
 
-const char* engine_name(Engine e) {
-  switch (e) {
-    case Engine::kNue: return "nue";
-    case Engine::kDfsssp: return "dfsssp";
-    case Engine::kLash: return "lash";
-    case Engine::kUpDown: return "updown";
-  }
-  return "?";
-}
-
-std::optional<Engine> engine_from_name(const std::string& s) {
-  for (Engine e :
-       {Engine::kNue, Engine::kDfsssp, Engine::kLash, Engine::kUpDown}) {
-    if (s == engine_name(e)) return e;
-  }
-  return std::nullopt;
-}
-
 ResilienceManager::ResilienceManager(Network net, RepairPolicy policy)
     : net_(std::move(net)), policy_(policy) {
+  NUE_CHECK_MSG(engine_info(policy_.engine).repairs,
+                "unknown repair engine '" << engine_name(policy_.engine) << "'");
   NUE_CHECK_MSG(policy_.vls >= 1, "resilience: need at least one VL");
   NUE_CHECK_MSG(policy_.max_vls >= policy_.vls,
                 "resilience: max_vls below the base VL budget");
@@ -295,19 +276,24 @@ ResilienceManager::Candidate ResilienceManager::run_ladder(
                        return splice_incremental(*old);
                      }});
   }
-  rungs.push_back({"full-recompute", [&] {
-                     return run_engine_full(policy_.engine, policy_.vls);
-                   }});
+  const auto full = [&](Engine e, std::uint32_t vls) {
+    EngineStats st;
+    RoutingResult rr = route_engine(
+        e, net_, net_.terminals(),
+        {.vls = vls, .seed = policy_.seed, .threads = policy_.num_threads},
+        &st);
+    remember_roots(st.roots);
+    return rr;
+  };
+  rungs.push_back({"full-recompute",
+                   [&] { return full(policy_.engine, policy_.vls); }});
   if (policy_.max_vls > policy_.vls) {
-    rungs.push_back({"more-vls", [&] {
-                       return run_engine_full(policy_.engine,
-                                              policy_.max_vls);
-                     }});
+    rungs.push_back({"more-vls",
+                     [&] { return full(policy_.engine, policy_.max_vls); }});
   }
   if (policy_.engine != Engine::kNue) {
-    rungs.push_back({"nue-fallback", [&] {
-                       return run_engine_full(Engine::kNue, policy_.vls);
-                     }});
+    rungs.push_back({"nue-fallback",
+                     [&] { return full(Engine::kNue, policy_.vls); }});
   }
 
   for (std::size_t i = 0; i < rungs.size(); ++i) {
@@ -342,39 +328,6 @@ ResilienceManager::Candidate ResilienceManager::run_ladder(
                 "repair ladder exhausted without a valid table (Nue's "
                 "contract should make this unreachable)");
   return {};
-}
-
-RoutingResult ResilienceManager::run_engine_full(Engine e,
-                                                 std::uint32_t vls) {
-  const auto dests = net_.terminals();
-  switch (e) {
-    case Engine::kNue: {
-      NueOptions opt;
-      opt.num_vls = vls;
-      opt.seed = policy_.seed;
-      opt.num_threads = policy_.num_threads;
-      NueStats nst;
-      RoutingResult rr = route_nue(net_, dests, opt, &nst);
-      remember_roots(nst.roots);
-      return rr;
-    }
-    case Engine::kDfsssp: {
-      DfssspOptions opt;
-      opt.max_vls = vls;
-      opt.num_threads = policy_.num_threads;
-      return route_dfsssp(net_, dests, opt);
-    }
-    case Engine::kLash: {
-      LashOptions opt;
-      opt.max_vls = vls;
-      opt.num_threads = policy_.num_threads;
-      return route_lash(net_, dests, opt);
-    }
-    case Engine::kUpDown:
-      return route_updown(net_, dests);
-  }
-  NUE_CHECK_MSG(false, "unknown repair engine");
-  return route_updown(net_, dests);
 }
 
 RoutingResult ResilienceManager::splice_incremental(const RoutingResult& old) {

@@ -44,20 +44,16 @@
 
 #include "graph/network.hpp"
 #include "metrics/reconfig_log.hpp"
+#include "nue/engines.hpp"
 #include "routing/routing.hpp"
 #include "topology/faults.hpp"
 #include "util/timer.hpp"
 
 namespace nue::resilience {
 
-/// Engines able to route an arbitrary degraded fabric (the topology-bound
-/// schemes — Torus-2QoS, fat-tree d-mod-k — cannot serve as live repair
-/// engines; MinHop is excluded because it never promises deadlock
-/// freedom, so no committed epoch could pass the oracle).
-enum class Engine : std::uint8_t { kNue, kDfsssp, kLash, kUpDown };
-
-const char* engine_name(Engine e);
-std::optional<Engine> engine_from_name(const std::string& s);
+/// A catalogue engine (nue/engines.hpp); the manager rejects any whose
+/// row cannot repair (only nue, updown, dfsssp and lash can).
+using Engine = nue::Engine;
 
 /// Upper bound on the epochs of one wave chain; a schedule that needs
 /// more drains instead (bounded staleness: a fault-affected column is
@@ -155,7 +151,6 @@ class ResilienceManager {
   /// the initial table and drained recomputes start at rung 2).
   Candidate run_ladder(const RoutingResult* old, bool incremental,
                        std::vector<std::string>& verdicts);
-  RoutingResult run_engine_full(Engine e, std::uint32_t vls);
   RoutingResult splice_incremental(const RoutingResult& old);
   /// validate_routing + alive-terminal coverage; returns "" when valid,
   /// else the failure detail for the verdict trail.

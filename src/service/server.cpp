@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <future>
@@ -17,6 +18,16 @@
 namespace nue::service {
 
 namespace {
+
+/// Longest request line (every op's request is far smaller): a longer one
+/// gets the error envelope and its connection is closed, so a client that
+/// never sends '\n' cannot grow the daemon's memory without bound.
+constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+
+Json protocol_error(const std::string& what) {
+  return Json::object().set("ok", false).set("op", "").set(
+      "error", "protocol error: " + what);
+}
 
 [[noreturn]] void sys_fail(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -136,8 +147,16 @@ void SocketServer::handle_connection(int fd) {
     }
     if (n == 0) break;  // EOF: client closed
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t nl;
-    while ((nl = buffer.find('\n')) != std::string::npos) {
+    for (;;) {
+      const std::size_t nl = buffer.find('\n');
+      if (std::min(nl, buffer.size()) > kMaxRequestLine) {
+        write_all(fd, protocol_error("request line exceeds " +
+                                     std::to_string(kMaxRequestLine) +
+                                     " bytes").dump() + "\n");
+        open = false;
+        break;
+      }
+      if (nl == std::string::npos) break;
       const std::string line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
       if (line.empty()) continue;
@@ -153,10 +172,7 @@ void SocketServer::handle_connection(int fd) {
             [this, &req, &done] { done.set_value(service_.handle(req)); });
         resp = result.get();
       } catch (const std::exception& e) {
-        resp = Json::object();
-        resp.set("ok", false);
-        resp.set("op", "");
-        resp.set("error", std::string("protocol error: ") + e.what());
+        resp = protocol_error(e.what());
       }
       if (!write_all(fd, resp.dump() + "\n")) {
         open = false;

@@ -282,7 +282,7 @@ Json FabricShard::status() {
   Json r = Json::object();
   r.set("fabric", name_);
   r.set("generate", generate_);
-  r.set("engine", resilience::engine_name(mgr_.policy().engine));
+  r.set("engine", engine_name(mgr_.policy().engine));
   r.set("epoch", mgr_.epoch());
   r.set("switches", mgr_.net().num_alive_switches());
   r.set("terminals", mgr_.net().num_alive_terminals());
@@ -386,8 +386,8 @@ Json ManagerService::op_load(const Json& req) {
   NUE_CHECK_MSG(!generate.empty(), "load needs a \"generate\" spec");
   resilience::RepairPolicy policy;
   const std::string engine = req.str("engine", "nue");
-  const auto parsed = resilience::engine_from_name(engine);
-  NUE_CHECK_MSG(parsed.has_value(),
+  const auto parsed = engine_from_name(engine);
+  NUE_CHECK_MSG(parsed.has_value() && engine_info(*parsed).repairs,
                 "unknown repair engine '" << engine << "'");
   policy.engine = *parsed;
   policy.vls = uint_member<std::uint32_t>(req, "vls", 2);

@@ -3,11 +3,14 @@
 // serialized -> replayed, and the reproducer corpus shipped with the repo.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 
 #include "fuzz/fuzz.hpp"
 #include "resilience/resilience.hpp"
+#include "routing/updown.hpp"
+#include "test_helpers.hpp"
 #include "topology/faults.hpp"
 #include "topology/generate.hpp"
 
@@ -60,6 +63,50 @@ TEST(FuzzOracle, NueFailureIsAViolationButDfssspFailureIsNot) {
   EXPECT_TRUE(rep.ok());
   EXPECT_FALSE(rep.applicable);
   EXPECT_FALSE(rep.engine_error.empty());
+}
+
+// The oracle checks minimality only where the catalogue row promises it:
+// one Up*/Down* table that detours on a ring is a violation when the spec
+// names MinHop or DFSSSP, and clean when it names Nue or Up*/Down*.
+TEST(FuzzOracle, NonMinimalVerdictFollowsTheCatalogue) {
+  constexpr std::uint32_t kSwitches = 6;
+  ScenarioBuild build;
+  build.net = test::make_ring(kSwitches);
+  const Network& net = build.net;
+  EngineOutcome routed;
+  routed.rr = route_updown(net, net.terminals());
+  // Per-pair count against the ring distance: a terminal route takes the
+  // two access links plus the shorter way round the ring.
+  std::size_t detours = 0;
+  for (NodeId d : routed.rr->destinations()) {
+    for (NodeId s : net.terminals()) {
+      if (s == d) continue;
+      const std::uint32_t a = net.terminal_switch(s);
+      const std::uint32_t b = net.terminal_switch(d);
+      const std::uint32_t gap = a > b ? a - b : b - a;
+      const std::size_t shortest = std::min(gap, kSwitches - gap) + 2;
+      if (routed.rr->trace(net, s, d).size() > shortest) ++detours;
+    }
+  }
+  ASSERT_GT(detours, 0u) << "Up*/Down* took no detour on the ring";
+  OracleConfig cfg;
+  cfg.max_sim_nodes = 0;
+  ScenarioSpec spec;
+  spec.generate = "ring";
+  spec.vls = 1;
+  for (Engine e : {Engine::kMinHop, Engine::kDfsssp}) {
+    spec.engine = e;
+    const OracleReport rep = check_scenario(spec, build, routed, cfg);
+    EXPECT_EQ(violation_kind(rep), "non-minimal-path") << engine_name(e);
+    EXPECT_TRUE(rep.minimality_checked) << engine_name(e);
+    EXPECT_EQ(rep.nonminimal_paths, detours) << engine_name(e);
+  }
+  for (Engine e : {Engine::kNue, Engine::kUpDown}) {
+    spec.engine = e;
+    const OracleReport rep = check_scenario(spec, build, routed, cfg);
+    EXPECT_TRUE(rep.ok()) << engine_name(e) << ": " << violation_kind(rep);
+    EXPECT_FALSE(rep.minimality_checked) << engine_name(e);
+  }
 }
 
 TEST(FuzzBatch, ThreadCountInvariant) {

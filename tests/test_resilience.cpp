@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "resilience/resilience.hpp"
@@ -249,14 +250,31 @@ TEST(ResilienceManager, LadderDescendsWhenTheEngineCannotDeliver) {
 }
 
 TEST(ResilienceManager, EngineNamesRoundTrip) {
-  using resilience::Engine;
-  for (Engine e : {Engine::kNue, Engine::kDfsssp, Engine::kLash,
-                   Engine::kUpDown}) {
-    const auto back = resilience::engine_from_name(engine_name(e));
-    ASSERT_TRUE(back.has_value()) << engine_name(e);
+  const std::vector<std::string> names = {
+      "nue", "updown", "minhop", "dfsssp", "lash", "torus-qos", "fattree"};
+  ASSERT_EQ(kNumEngines, names.size());
+  std::vector<std::string> repairs;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto e = static_cast<Engine>(i);
+    EXPECT_EQ(engine_name(e), names[i]);
+    const auto back = engine_from_name(names[i]);
+    ASSERT_TRUE(back.has_value()) << names[i];
     EXPECT_EQ(*back, e);
+    if (engine_info(e).repairs) repairs.push_back(names[i]);
   }
-  EXPECT_FALSE(resilience::engine_from_name("minhop").has_value());
+  EXPECT_EQ(repairs,
+            (std::vector<std::string>{"nue", "updown", "dfsssp", "lash"}));
+  EXPECT_FALSE(engine_from_name("warp").has_value());
+  resilience::RepairPolicy policy;
+  policy.engine = Engine::kMinHop;
+  try {
+    resilience::ResilienceManager mgr(test::make_ring(4), policy);
+    ADD_FAILURE() << "minhop accepted as a repair engine";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown repair engine 'minhop'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -8,10 +8,12 @@
 // one-shot `nue_route --fault-trace` runs).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -143,6 +145,23 @@ TEST(ManagerServiceDispatch, LoadRouteEventUnload) {
   EXPECT_FALSE(
       svc.handle(Json::parse(R"({"op":"route","fabric":"t","src":9,"dst":17})"))
           .boolean("ok"));
+}
+
+// Only catalogue rows that can drive the repair ladder load as a shard.
+TEST(ManagerServiceDispatch, LoadRejectsNonRepairEngines) {
+  ManagerService svc;
+  for (const char* engine : {"minhop", "torus-qos"}) {
+    Json req = Json::object();
+    req.set("op", "load");
+    req.set("fabric", "t");
+    req.set("generate", "torus:3x3:1");
+    req.set("engine", engine);
+    const Json resp = svc.handle(req);
+    EXPECT_FALSE(resp.boolean("ok")) << engine;
+    EXPECT_NE(resp.str("error").find("unknown repair engine"),
+              std::string::npos)
+        << resp.dump();
+  }
 }
 
 // Request integers are range-checked before any cast: a negative,
@@ -417,6 +436,74 @@ TEST(Daemon, ClientClosingBeforeReadingRepliesDoesNotKillTheDaemon) {
   server.stop();
   serve_thread.join();
   EXPECT_TRUE(status_ok);
+}
+
+// A client that never sends '\n' is cut off at the request-line cap with
+// the error envelope; the daemon keeps serving other connections.
+TEST(Daemon, OversizeRequestLineGetsErrorEnvelope) {
+  ManagerService svc;
+  const std::string path = temp_socket_path("oversize");
+  SocketServer server(path, svc);
+  std::thread serve_thread([&server] { server.serve(); });
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // 2 MiB without a newline; once the daemon hangs up, send fails with
+  // EPIPE (MSG_NOSIGNAL keeps that from raising SIGPIPE).
+  const std::string blob(std::size_t{2} << 20, 'x');
+  std::size_t off = 0;
+  while (off < blob.size()) {
+    const ssize_t n =
+        ::send(fd, blob.data() + off, blob.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  // Read until the daemon closes the connection. Closing with unread
+  // input makes the first read after the reply report ECONNRESET, which
+  // is a close too; a timeout (EAGAIN) is not.
+  std::string reply;
+  bool closed = false;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      reply.append(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    closed = n == 0 || errno == ECONNRESET;
+    break;
+  }
+  ::close(fd);
+  bool status_ok = false;
+  try {
+    Client client(path);
+    status_ok = client.request(Json::parse(R"({"op":"status"})")).boolean("ok");
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "fresh connection failed: " << e.what();
+  }
+  server.stop();
+  serve_thread.join();
+  EXPECT_TRUE(status_ok);
+  EXPECT_TRUE(closed) << "daemon kept the oversize connection open";
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(reply.back(), '\n');
+  const Json env = Json::parse(reply.substr(0, reply.size() - 1));
+  EXPECT_FALSE(env.boolean("ok"));
+  EXPECT_EQ(env.str("op"), "");
+  EXPECT_EQ(env.str("error"),
+            "protocol error: request line exceeds 1048576 bytes");
 }
 
 TEST(Daemon, StormOpAndStatusCounters) {

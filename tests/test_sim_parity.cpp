@@ -148,7 +148,7 @@ TEST(SimParity, OracleCrossChecksEnginesBydefault) {
   fuzz::ScenarioSpec spec;
   spec.seed = 4;
   spec.generate = "torus:3x3:1";
-  spec.engine = fuzz::Engine::kNue;
+  spec.engine = Engine::kNue;
   spec.vls = 2;
   const fuzz::OracleReport rep = fuzz::run_scenario(spec);
   EXPECT_TRUE(rep.ok()) << (rep.violations.empty()

@@ -70,8 +70,8 @@ LoadSpec parse_load(const std::string& item, std::size_t log_max_records) {
     rest = rest.substr(0, at);
     NUE_CHECK_MSG(!opts.empty(), "--load entry '" << item
                                  << "' has an empty @engine suffix");
-    const auto engine = nue::resilience::engine_from_name(opts[0]);
-    NUE_CHECK_MSG(engine.has_value(),
+    const auto engine = nue::engine_from_name(opts[0]);
+    NUE_CHECK_MSG(engine.has_value() && nue::engine_info(*engine).repairs,
                   "unknown repair engine '" << opts[0] << "' in --load");
     spec.policy.engine = *engine;
     if (opts.size() > 1) {
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       svc.load(spec.name, spec.generate, spec.policy);
       std::cerr << "nue_managerd: loaded '" << spec.name << "' = "
                 << spec.generate << " ("
-                << resilience::engine_name(spec.policy.engine) << ", "
+                << engine_name(spec.policy.engine) << ", "
                 << spec.policy.vls << " VLs)\n";
     }
 

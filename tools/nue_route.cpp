@@ -22,14 +22,9 @@
 
 #include "graph/algorithms.hpp"
 #include "metrics/metrics.hpp"
-#include "nue/nue_routing.hpp"
-#include "routing/dfsssp.hpp"
+#include "nue/engines.hpp"
 #include "routing/dump.hpp"
 #include "routing/ib_tables.hpp"
-#include "routing/fattree_routing.hpp"
-#include "routing/lash.hpp"
-#include "routing/torus_qos.hpp"
-#include "routing/updown.hpp"
 #include "routing/validate.hpp"
 #include "resilience/resilience.hpp"
 #include "sim/flit_sim.hpp"
@@ -37,8 +32,6 @@
 #include "topology/fabric_io.hpp"
 #include "topology/faults.hpp"
 #include "topology/generate.hpp"
-#include "topology/torus.hpp"
-#include "topology/trees.hpp"
 #include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -68,8 +61,8 @@ int main(int argc, char** argv) {
       "max-vls", 0, "repair ladder VL escalation cap (0 = max(--vls, 8))"));
   const std::string reconfig_json = flags.get_string(
       "reconfig-json", "", "write the reconfiguration verdict log as JSON");
-  const std::string engine = flags.get_string(
-      "routing", "nue", "nue|dfsssp|lash|updown|minhop|torus-qos|fattree");
+  const std::string engine =
+      flags.get_string("routing", "nue", engine_names());
   const auto vls = static_cast<std::uint32_t>(
       flags.get_int("vls", 1, "virtual lanes for deadlock freedom"));
   const std::string betweenness = flags.get_string(
@@ -96,6 +89,11 @@ int main(int argc, char** argv) {
   telem.register_flags(flags);
   const std::uint32_t threads = flags.get_threads();
   if (!flags.finish()) return 1;
+  const std::optional<Engine> routing = engine_from_name(engine);
+  if (!routing.has_value()) {
+    std::cerr << "unknown routing engine '" << engine << "'\n";
+    return 1;
+  }
   std::size_t betweenness_pivots = 0;
   if (betweenness != "exact") {
     if (betweenness.rfind("sampled:", 0) == 0) {
@@ -177,12 +175,8 @@ int main(int argc, char** argv) {
       if (!fault_trace_out.empty()) {
         save_fault_trace_file(fault_trace_out, *trace);
       }
-      const auto repair_engine = resilience::engine_from_name(engine);
-      NUE_CHECK_MSG(repair_engine.has_value(),
-                    "live repair needs --routing nue|dfsssp|lash|updown, got '"
-                        << engine << "'");
       resilience::RepairPolicy policy;
-      policy.engine = *repair_engine;
+      policy.engine = *routing;
       policy.vls = std::max(vls, 1u);
       policy.max_vls = max_vls_flag > 0 ? std::max(max_vls_flag, policy.vls)
                                         : std::max(policy.vls, 8u);
@@ -226,40 +220,18 @@ int main(int argc, char** argv) {
     // --- routing ------------------------------------------------------------
     const auto dests = net.terminals();
     Timer timer;
-    std::optional<RoutingResult> rr;
-    std::string vl_note = "";
-    if (engine == "nue") {
-      NueOptions opt;
-      opt.num_vls = vls;
-      opt.betweenness_pivots = betweenness_pivots;
-      NueStats stats;
-      rr.emplace(route_nue(net, dests, opt, &stats));
-      vl_note = " (fallbacks: " + std::to_string(stats.fallbacks) + ")";
-    } else if (engine == "dfsssp") {
-      DfssspStats stats;
-      rr.emplace(route_dfsssp(net, dests, {.max_vls = std::max(vls, 1u)},
-                              &stats));
-      vl_note = " (VLs needed: " + std::to_string(stats.vls_needed) + ")";
-    } else if (engine == "lash") {
-      LashStats stats;
-      rr.emplace(
-          route_lash(net, dests, {.max_vls = std::max(vls, 1u)}, &stats));
-      vl_note = " (VLs needed: " + std::to_string(stats.vls_needed) + ")";
-    } else if (engine == "updown") {
-      rr.emplace(route_updown(net, dests));
-    } else if (engine == "minhop") {
-      rr.emplace(route_minhop(net, dests));
-    } else if (engine == "torus-qos") {
-      NUE_CHECK_MSG(topo.torus.has_value(),
-                    "torus-qos needs --generate torus:...");
-      rr.emplace(route_torus_qos(net, *topo.torus, dests));
-    } else if (engine == "fattree") {
-      NUE_CHECK_MSG(topo.fattree.has_value(),
-                    "fattree routing needs --generate fattree:...");
-      rr.emplace(route_fattree(net, *topo.fattree, dests));
-    } else {
-      std::cerr << "unknown routing engine '" << engine << "'\n";
-      return 1;
+    EngineStats stats;
+    const RoutingResult rr = route_engine(
+        *routing, net, dests,
+        {.vls = vls, .betweenness_pivots = betweenness_pivots,
+         .torus = topo.torus, .fattree = topo.fattree},
+        &stats);
+    std::string vl_note;
+    if (stats.fallbacks.has_value()) {
+      vl_note = " (fallbacks: " + std::to_string(*stats.fallbacks) + ")";
+    }
+    if (stats.vls_needed.has_value()) {
+      vl_note = " (VLs needed: " + std::to_string(*stats.vls_needed) + ")";
     }
     std::cout << "routing: " << engine << " in " << timer.seconds() << "s"
               << vl_note << "\n";
@@ -268,35 +240,35 @@ int main(int argc, char** argv) {
     const auto write_telem = [&] {
       if (telem.wanted()) telem.finish("nue_route", telem_config);
     };
-    const auto rep = validate_routing(net, *rr);
+    const auto rep = validate_routing(net, rr);
     std::cout << "validation: connected=" << rep.connected
               << " cycle_free=" << rep.cycle_free
               << " deadlock_free=" << rep.deadlock_free
               << " (avg path " << rep.avg_path_length << ", max "
               << rep.max_path_length << ")\n";
     const auto gamma =
-        summarize_forwarding_index(net, edge_forwarding_index(net, *rr));
+        summarize_forwarding_index(net, edge_forwarding_index(net, rr));
     std::cout << "edge forwarding index: min " << gamma.min << " avg "
               << gamma.avg << " max " << gamma.max << "\n";
 
     // --- dumps ---------------------------------------------------------------
     if (dump_tables == "-") {
-      write_forwarding_tables(std::cout, net, *rr);
+      write_forwarding_tables(std::cout, net, rr);
     } else if (!dump_tables.empty()) {
       std::ofstream f(dump_tables);
-      write_forwarding_tables(f, net, *rr);
+      write_forwarding_tables(f, net, rr);
     }
     if (!dump_cdg.empty()) {
       std::ofstream f(dump_cdg);
-      write_cdg_dot(f, net, *rr);
+      write_cdg_dot(f, net, rr);
     }
     if (!save_routing.empty()) {
       std::ofstream f(save_routing);
-      write_routing(f, net, *rr);
+      write_routing(f, net, rr);
     }
     if (compile_ib) {
-      const auto tables = compile_ib_tables(net, *rr);
-      const bool ok = verify_compiled(net, *rr, tables);
+      const auto tables = compile_ib_tables(net, rr);
+      const bool ok = verify_compiled(net, rr, tables);
       std::cout << "ib tables: " << (tables.node_of_lid.size() - 1)
                 << " LIDs, " << tables.total_lft_entries()
                 << " LFT entries, cross-check "
@@ -311,7 +283,7 @@ int main(int argc, char** argv) {
     if (do_sim) {
       SimConfig cfg;
       const auto msgs = alltoall_shift_messages(net, msg_bytes, shifts);
-      const auto res = simulate(net, *rr, msgs, cfg);
+      const auto res = simulate(net, rr, msgs, cfg);
       std::cout << "simulation: " << res.delivered_packets << " packets, "
                 << res.cycles << " cycles, normalized throughput "
                 << res.normalized_throughput << ", avg latency "
