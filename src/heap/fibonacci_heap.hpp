@@ -10,6 +10,7 @@
 // backtracking/shortcut optimizations need.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,7 +24,8 @@ class FibonacciHeap {
   using Id = std::uint32_t;
   static constexpr Id kNil = static_cast<Id>(-1);
 
-  explicit FibonacciHeap(std::size_t capacity) : nodes_(capacity) {}
+  explicit FibonacciHeap(std::size_t capacity)
+      : nodes_(capacity), degree_table_(kMaxDegree, kNil) {}
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -163,7 +165,9 @@ class FibonacciHeap {
       it = nodes_[it].right;
     } while (it != some_root);
 
-    degree_table_.assign(64, kNil);
+    // degree_table_ is all-nil between calls; only slots [0, top] are
+    // written, so only they are scanned and cleared again below.
+    std::uint32_t top = 0;
     for (Id x : scratch_roots_) {
       std::uint32_t d = nodes_[x].degree;
       while (degree_table_[d] != kNil) {
@@ -174,11 +178,14 @@ class FibonacciHeap {
         ++d;
       }
       degree_table_[d] = x;
+      top = std::max(top, d);
     }
     // Rebuild the root list and min pointer from the degree table.
     min_ = kNil;
-    for (Id r : degree_table_) {
+    for (std::uint32_t d = 0; d <= top; ++d) {
+      const Id r = degree_table_[d];
       if (r == kNil) continue;
+      degree_table_[d] = kNil;
       nodes_[r].left = r;
       nodes_[r].right = r;
       if (min_ == kNil) {
@@ -241,6 +248,9 @@ class FibonacciHeap {
       p = nodes_[id].parent;
     }
   }
+
+  // Root degrees stay below log_phi(capacity) + 2, far under 64.
+  static constexpr std::size_t kMaxDegree = 64;
 
   std::vector<Node> nodes_;
   std::vector<Id> scratch_roots_;

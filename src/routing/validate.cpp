@@ -1,9 +1,12 @@
 #include "routing/validate.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <atomic>
+#include <bit>
+#include <string>
 
 #include "telemetry/telemetry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nue {
 
@@ -11,75 +14,205 @@ namespace {
 
 using Adjacency = std::vector<std::vector<std::uint32_t>>;
 
-void add_edges(Adjacency& adj, const std::vector<ColumnPass::Edge>& edges) {
-  for (const auto& [from, to] : edges) adj[from].push_back(to);
+/// A set of (channel, slot) -> (channel, slot) dependencies, each stored
+/// once, in the vertex space channel * stride + slot. The head channel c2
+/// of a dependency leaves dst(c) of its tail channel c, so the pair is
+/// numbered densely by pair(c) + port(c2), where port(c2) is c2's position
+/// in out(src(c2)); its bit is ((pair(c) + port(c2)) * stride + a) *
+/// stride + b for slots a and b. Concurrent chunks may insert at once: a
+/// bit is only ever set (a relaxed atomic OR), and a set union does not
+/// depend on the order its members arrive in.
+class DependencySet {
+ public:
+  DependencySet(const Network& net, std::uint32_t stride)
+      : net_(net),
+        stride_(stride),
+        pair_begin_(net.num_channels() + 1, 0),
+        tail_bit_(net.num_channels() * stride, 0),
+        head_bit_(net.num_channels() * stride, 0) {
+    const std::size_t nc = net.num_channels();
+    const std::size_t block = std::size_t{stride} * stride;
+    for (ChannelId c = 0; c < nc; ++c) {
+      pair_begin_[c + 1] = pair_begin_[c] +
+                           (net.channel_alive(c) ? net.degree(net.dst(c)) : 0);
+      for (std::uint32_t a = 0; a < stride; ++a) {
+        tail_bit_[c * stride + a] = pair_begin_[c] * block + a * stride;
+      }
+    }
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      const auto out = net.out(v);
+      for (std::size_t p = 0; p < out.size(); ++p) {
+        for (std::uint32_t b = 0; b < stride; ++b) {
+          head_bit_[out[p] * stride + b] = p * block + b;
+        }
+      }
+    }
+    words_ = std::vector<std::atomic<std::uint64_t>>(
+        (pair_begin_[nc] * block + 63) / 64);
+  }
+
+  void insert(const std::vector<ColumnPass::Edge>& edges) {
+    for (const auto& [from, to] : edges) {
+      const std::size_t bit = tail_bit_[from] + head_bit_[to];
+      std::atomic<std::uint64_t>& word = words_[bit >> 6];
+      const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+      if ((word.load(std::memory_order_relaxed) & mask) == 0) {
+        word.fetch_or(mask, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// The set as adjacency lists over every vertex, each row ascending.
+  Adjacency adjacency() const {
+    Adjacency adj(net_.num_channels() * stride_);
+    const std::size_t block = std::size_t{stride_} * stride_;
+    ChannelId c = 0;
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w].load(std::memory_order_relaxed);
+           bits != 0; bits &= bits - 1) {
+        const std::size_t bit = w * 64 + std::countr_zero(bits);
+        const std::size_t pair = bit / block;
+        while (pair_begin_[c + 1] <= pair) ++c;  // bits ascend, so does c
+        const ChannelId c2 = net_.out(net_.dst(c))[pair - pair_begin_[c]];
+        const auto a = static_cast<std::uint32_t>(bit % block / stride_);
+        const auto b = static_cast<std::uint32_t>(bit % stride_);
+        adj[c * stride_ + a].push_back(c2 * stride_ + b);
+      }
+    }
+    for (auto& row : adj) std::sort(row.begin(), row.end());
+    return adj;
+  }
+
+ private:
+  const Network& net_;
+  std::uint32_t stride_;
+  std::vector<std::size_t> pair_begin_;  // per channel, into the pair space
+  std::vector<std::size_t> tail_bit_;    // per vertex: pair(c) and slot a
+  std::vector<std::size_t> head_bit_;    // per vertex: port(c2) and slot b
+  std::vector<std::atomic<std::uint64_t>> words_;
+};
+
+/// What one destination column contributes to a ValidationReport.
+struct ColumnOutcome {
+  enum class Kind : std::uint8_t { kWalked, kNoColumn, kRemoved };
+  Kind kind = Kind::kWalked;
+  bool vl_out_of_range = false;
+  NodeId first_unreached = kInvalidNode;  // first source not arriving
+  NodeId first_dead = kInvalidNode;  // first source crossing a dead channel
+  std::size_t num_paths = 0;
+  std::uint64_t total_len = 0;
+  std::size_t max_len = 0;
+};
+
+ColumnOutcome check_column(const Network& net, const RoutingResult& rr,
+                           ColumnPass& pass, NodeId d,
+                           const std::vector<NodeId>& sources,
+                           DependencySet* cdg) {
+  ColumnOutcome col;
+  const std::uint32_t di = rr.dest_index(d);
+  if (di == RoutingResult::kNoDest) {
+    col.kind = ColumnOutcome::Kind::kNoColumn;
+    return col;
+  }
+  pass.run(di, sources);
+  if (cdg != nullptr) cdg->insert(pass.edges());
+  if (!net.node_alive(d)) {
+    col.kind = ColumnOutcome::Kind::kRemoved;
+    return col;
+  }
+  col.vl_out_of_range = pass.vl_out_of_range();
+  for (NodeId s : sources) {
+    if (s == d || !net.node_alive(s)) continue;
+    const ColumnPass::End end = pass.end(s);
+    if (end == ColumnPass::End::kDeadChannel && col.first_dead == kInvalidNode) {
+      col.first_dead = s;
+    }
+    if (end != ColumnPass::End::kReached) {
+      if (col.first_unreached == kInvalidNode) col.first_unreached = s;
+      continue;
+    }
+    const std::size_t len = pass.depth(s);
+    ++col.num_paths;
+    col.total_len += len;
+    col.max_len = std::max(col.max_len, len);
+  }
+  return col;
 }
 
-/// The per-column checks behind validate_routing and validate_columns,
-/// folded source by source so `detail` names the first failing route.
-/// Each column's dependencies are appended to `cdg` when one is given:
-/// its vertex space is channel * (num_vls + 1) + slot, slot num_vls the
-/// overflow vertex, so an out-of-range VL can neither alias onto a legal
-/// (channel, VL) dependency (fabricating a cycle no legal resource pair
-/// has) nor hide behind one; vl_in_range reports the breakage itself.
+/// The per-column checks behind validate_routing and validate_columns.
+/// Columns are checked in contiguous chunks across the pool, then folded
+/// in column order, so `detail` names the first failing route exactly as
+/// a serial source-by-source loop would. Each column's dependencies go
+/// into `cdg` when one is given: its vertex space is channel * (num_vls +
+/// 1) + slot, slot num_vls the overflow vertex, so an out-of-range VL can
+/// neither alias onto a legal (channel, VL) dependency (fabricating a
+/// cycle no legal resource pair has) nor hide behind one; vl_in_range
+/// reports the breakage itself.
 ValidationReport check_columns(const Network& net, const RoutingResult& rr,
                                const std::vector<NodeId>& dests,
                                const std::vector<NodeId>& sources,
-                               Adjacency* cdg) {
+                               DependencySet* cdg) {
+  std::vector<ColumnOutcome> cols(dests.size());
+  parallel_for_chunks(
+      resolve_threads(0), dests.size(), chunk_grain(net.num_nodes()),
+      [&](std::size_t begin, std::size_t end) {
+        ColumnPass pass(net, rr, rr.num_vls() + 1, rr.num_vls());
+        for (std::size_t i = begin; i < end; ++i) {
+          cols[i] = check_column(net, rr, pass, dests[i], sources, cdg);
+        }
+      });
+
   ValidationReport rep;
   std::uint64_t total_len = 0;
-  ColumnPass pass(net, rr, rr.num_vls() + 1, rr.num_vls());
-  for (NodeId d : dests) {
-    const std::uint32_t di = rr.dest_index(d);
-    if (di == RoutingResult::kNoDest) {
+  for (std::size_t i = 0; i < dests.size(); ++i) {
+    const NodeId d = dests[i];
+    const ColumnOutcome& col = cols[i];
+    if (col.kind == ColumnOutcome::Kind::kNoColumn) {
       if (rep.connected && rep.detail.empty()) {
-        std::ostringstream os;
-        os << "table has no column for destination " << d;
-        rep.detail = os.str();
+        rep.detail =
+            "table has no column for destination " + std::to_string(d);
       }
       rep.connected = false;
       continue;
     }
-    pass.run(di, sources);
-    if (cdg != nullptr) add_edges(*cdg, pass.edges());
-    if (!net.node_alive(d)) {
+    if (col.kind == ColumnOutcome::Kind::kRemoved) {
       // Stale table: it still routes toward a destination the fabric has
       // lost. Its routes would fail anyway (the channels into a dead node
       // die with it) — flag the root cause instead.
       if (rep.live_elements) {
-        std::ostringstream os;
-        os << "table routes to removed destination " << d;
-        rep.detail = os.str();
+        rep.detail = "table routes to removed destination " + std::to_string(d);
       }
       rep.live_elements = false;
       continue;
     }
-    if (pass.vl_out_of_range()) rep.vl_in_range = false;
-    for (NodeId s : sources) {
-      if (s == d || !net.node_alive(s)) continue;
-      const ColumnPass::End end = pass.end(s);
-      if (end == ColumnPass::End::kDeadChannel) {
-        if (rep.live_elements && rep.detail.empty()) {
-          std::ostringstream os;
-          os << "route " << s << " -> " << d << " crosses a dead channel";
-          rep.detail = os.str();
-        }
-        rep.live_elements = false;
+    if (col.vl_out_of_range) rep.vl_in_range = false;
+    // Per source, a dead-channel check and then an arrival check. Only the
+    // first failure of each kind can change the report, and a route that
+    // crosses a dead channel does not arrive: so the first unarrived route
+    // comes first, led by its own dead-channel check when it is also the
+    // first dead-channel route. Both steps are idempotent.
+    const auto dead_channel = [&](NodeId s) {
+      if (rep.live_elements && rep.detail.empty()) {
+        rep.detail = "route " + std::to_string(s) + " -> " +
+                     std::to_string(d) + " crosses a dead channel";
       }
-      if (end != ColumnPass::End::kReached) {
-        if (rep.connected && rep.detail.empty()) {
-          std::ostringstream os;
-          os << "no complete route " << s << " -> " << d;
-          rep.detail = os.str();
-        }
-        rep.connected = false;
-        continue;
+      rep.live_elements = false;
+    };
+    const auto unreached = [&](NodeId s) {
+      if (rep.connected && rep.detail.empty()) {
+        rep.detail = "no complete route " + std::to_string(s) + " -> " +
+                     std::to_string(d);
       }
-      const std::size_t len = pass.depth(s);
-      ++rep.num_paths;
-      total_len += len;
-      rep.max_path_length = std::max(rep.max_path_length, len);
+      rep.connected = false;
+    };
+    if (col.first_dead != kInvalidNode && col.first_dead == col.first_unreached) {
+      dead_channel(col.first_dead);
     }
+    if (col.first_unreached != kInvalidNode) unreached(col.first_unreached);
+    if (col.first_dead != kInvalidNode) dead_channel(col.first_dead);
+    rep.num_paths += col.num_paths;
+    total_len += col.total_len;
+    rep.max_path_length = std::max(rep.max_path_length, col.max_len);
   }
   if (rep.num_paths > 0) {
     rep.avg_path_length =
@@ -163,9 +296,9 @@ void ColumnPass::walk(NodeId s) {
 std::vector<std::vector<std::uint32_t>> induced_cdg(
     const Network& net, const RoutingResult& rr,
     const std::vector<NodeId>& sources) {
-  Adjacency adj(net.num_channels() * (rr.num_vls() + 1));
-  check_columns(net, rr, rr.destinations(), sources, &adj);
-  return adj;
+  DependencySet cdg(net, rr.num_vls() + 1);
+  check_columns(net, rr, rr.destinations(), sources, &cdg);
+  return cdg.adjacency();
 }
 
 bool is_acyclic(const std::vector<std::vector<std::uint32_t>>& adj,
@@ -196,10 +329,10 @@ ValidationReport validate_routing(const Network& net, const RoutingResult& rr,
                                   std::vector<NodeId> sources) {
   TELEM_SPAN("validate.routing");
   if (sources.empty()) sources = net.terminals();
-  Adjacency adj(net.num_channels() * (rr.num_vls() + 1));
+  DependencySet cdg(net, rr.num_vls() + 1);
   ValidationReport rep =
-      check_columns(net, rr, rr.destinations(), sources, &adj);
-  rep.deadlock_free = is_acyclic(adj);
+      check_columns(net, rr, rr.destinations(), sources, &cdg);
+  rep.deadlock_free = is_acyclic(cdg.adjacency());
   if (!rep.deadlock_free && rep.detail.empty()) {
     rep.detail = "induced CDG has a cycle";
   }
@@ -244,7 +377,7 @@ bool union_cdg_acyclic(const Network& net, const RoutingResult& old_rr,
   // overflow vertex for out-of-range VLs (see induced_cdg).
   const std::uint32_t stride =
       std::max(old_rr.num_vls(), new_rr.num_vls()) + 1;
-  Adjacency adj(net.num_channels() * stride);
+  DependencySet deps(net, stride);
   std::vector<NodeId> alive;
   for (const RoutingResult* rr : {&old_rr, &new_rr}) {
     const bool per_source = rr->vl_mode() == VlMode::kPerSource;
@@ -253,10 +386,10 @@ bool union_cdg_acyclic(const Network& net, const RoutingResult& old_rr,
     ColumnPass pass(net, *rr, stride, rr->num_vls());
     for (std::size_t di = 0; di < rr->destinations().size(); ++di) {
       pass.run(static_cast<std::uint32_t>(di), per_source ? sources : alive);
-      add_edges(adj, pass.edges());
+      deps.insert(pass.edges());
     }
   }
-  return is_acyclic(adj);
+  return is_acyclic(deps.adjacency());
 }
 
 }  // namespace nue

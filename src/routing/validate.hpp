@@ -4,6 +4,7 @@
 // per-source and per-hop VL schemes are handled exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -39,6 +40,21 @@ struct ValidationReport {
   }
 };
 
+/// The per-column checks (validate_routing, validate_columns, induced_cdg
+/// and verify_compiled) and compile_ib_tables run over contiguous chunks
+/// of columns (or nodes) on resolve_threads(0) agents and fold the chunks
+/// in order, so their results do not depend on the thread count. A chunk
+/// holds about this many node visits; a check whose whole table fits in
+/// one chunk runs inline on the calling thread (docs/PARALLELISM.md).
+inline constexpr std::size_t kColumnChunkVisits = std::size_t{1} << 16;
+
+/// Items per chunk when each item (a column: about one visit per node; a
+/// node: one per destination) costs `visits_per_item` node visits.
+inline std::size_t chunk_grain(std::size_t visits_per_item) {
+  return std::max<std::size_t>(
+      1, kColumnChunkVisits / std::max<std::size_t>(1, visits_per_item));
+}
+
 /// Validate routing `rr` for all (src, dst) pairs with src in `sources`
 /// and dst in rr.destinations(). Sources default to all alive terminals.
 ValidationReport validate_routing(const Network& net, const RoutingResult& rr,
@@ -59,8 +75,8 @@ ValidationReport validate_columns(const Network& net, const RoutingResult& rr,
 
 /// Induced channel dependency graph of `rr` over (channel, VL) vertices
 /// (vertex id = channel * (num_vls + 1) + vl), as an adjacency list. Each
-/// dependency appears at most once per column and lane class (ColumnPass);
-/// repeats across columns do not affect acyclicity. Slot num_vls of each
+/// dependency appears once, however many columns exercise it, and every
+/// row is in ascending order, at any thread count. Slot num_vls of each
 /// channel is a dedicated overflow vertex: hops whose VL is out of range
 /// land there instead of being clamped onto a legal layer, so a broken
 /// table can never alias onto (or hide behind) a legal dependency. Only

@@ -32,9 +32,11 @@
 
 namespace nue {
 
-/// Number of hardware threads (never 0).
+/// Number of hardware threads (never 0). Read once: each
+/// std::thread::hardware_concurrency() call reads sysfs (several µs), and
+/// resolve_threads(0) runs on every per-column check, however small.
 inline unsigned hardware_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
+  static const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <queue>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "heap/dary_heap.hpp"
 #include "heap/fibonacci_heap.hpp"
@@ -129,6 +133,66 @@ TYPED_TEST(AddressableHeapTest, MatchesReferenceModelUnderRandomOps) {
     model.erase(id);
   }
   EXPECT_TRUE(model.empty());
+}
+
+/// Root degrees above 16: 2^17 + 1 inserts before the first extract leave
+/// 2^17 roots to consolidate into one tree of degree 17. Later extracts
+/// break it up and mix in fresh roots and cut subtrees, so consolidations
+/// start from many different top degrees. Every key is distinct (a value
+/// times 2^20 plus a sequence number), which fixes the expected order.
+TYPED_TEST(AddressableHeapTest, MatchesReferenceModelWithHighDegreeRoots) {
+  constexpr std::uint32_t kIds = (1u << 17) + 1;
+  constexpr std::uint32_t kSpare = 4096;  // ids inserted after the first pop
+  constexpr double kScale = 1 << 20;
+  TypeParam h(kIds + kSpare);
+  std::set<std::pair<double, std::uint32_t>> model;  // (key, id)
+  std::map<std::uint32_t, double> key_of;
+  Rng rng(99);
+  std::uint32_t seq = 0;
+  const auto key = [&](std::uint64_t value) {
+    return static_cast<double>(value) * kScale + seq++;
+  };
+  const auto insert = [&](std::uint32_t id, double k) {
+    h.insert(id, k);
+    model.emplace(k, id);
+    key_of[id] = k;
+  };
+  std::vector<std::uint32_t> order(kIds);
+  for (std::uint32_t i = 0; i < kIds; ++i) order[i] = i;
+  for (std::uint32_t i = kIds; i-- > 1;) {
+    std::swap(order[i], order[rng.next_below(i + 1)]);
+  }
+  for (std::uint32_t i = 0; i < kIds; ++i) insert(order[i], key(i));
+  const auto pop = [&] {
+    ASSERT_FALSE(model.empty());
+    const std::uint32_t want = model.begin()->second;
+    ASSERT_EQ(h.extract_min(), want);
+    model.erase(model.begin());
+    key_of.erase(want);
+  };
+  pop();
+  for (std::uint32_t round = 0; round < kSpare; ++round) {
+    if (round % 2 == 0) {
+      insert(kIds + round, key(rng.next_below(kIds)));
+    } else {
+      const auto it = key_of.find(
+          static_cast<std::uint32_t>(rng.next_below(kIds + round)));
+      const auto value = it == key_of.end()
+                             ? 0
+                             : static_cast<std::uint64_t>(it->second / kScale);
+      if (value > 0) {
+        const double nk = key(rng.next_below(value));
+        model.erase({it->second, it->first});
+        h.decrease_key(it->first, nk);
+        model.emplace(nk, it->first);
+        it->second = nk;
+      }
+    }
+    pop();
+    ASSERT_EQ(h.size(), model.size());
+  }
+  while (!model.empty()) pop();
+  EXPECT_TRUE(h.empty());
 }
 
 }  // namespace

@@ -3,9 +3,14 @@
 // Fig. 2a) and the binary-tree impasse network (Fig. 7a).
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "graph/network.hpp"
+#include "routing/validate.hpp"
 
 namespace nue::test {
 
@@ -60,6 +65,22 @@ inline Network make_paper_ring_with_terminals() {
     net.add_link(t, sw);
   }
   return net;
+}
+
+/// Every field of two validation reports is equal, `detail` included and
+/// the average path length bit for bit.
+inline void expect_same_report(const ValidationReport& got,
+                               const ValidationReport& want) {
+  EXPECT_EQ(got.connected, want.connected);
+  EXPECT_EQ(got.cycle_free, want.cycle_free);
+  EXPECT_EQ(got.deadlock_free, want.deadlock_free);
+  EXPECT_EQ(got.vl_in_range, want.vl_in_range);
+  EXPECT_EQ(got.live_elements, want.live_elements);
+  EXPECT_EQ(got.num_paths, want.num_paths);
+  EXPECT_EQ(got.max_path_length, want.max_path_length);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.avg_path_length),
+            std::bit_cast<std::uint64_t>(want.avg_path_length));
+  EXPECT_EQ(got.detail, want.detail);
 }
 
 }  // namespace nue::test

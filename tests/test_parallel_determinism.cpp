@@ -6,6 +6,8 @@
 // (docs/PARALLELISM.md).
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,10 +16,13 @@
 #include "nue/nue_routing.hpp"
 #include "routing/dfsssp.hpp"
 #include "routing/dump.hpp"
+#include "routing/ib_tables.hpp"
 #include "routing/lash.hpp"
+#include "routing/torus_qos.hpp"
 #include "routing/validate.hpp"
 #include "test_helpers.hpp"
 #include "topology/faults.hpp"
+#include "topology/generate.hpp"
 #include "topology/torus.hpp"
 #include "topology/trees.hpp"
 #include "util/rng.hpp"
@@ -173,6 +178,184 @@ TEST(ParallelDeterminism, Betweenness) {
         EXPECT_EQ(cb[i], base[i]) << "node " << i << " threads=" << t;
       }
     }
+  }
+}
+
+// --- per-column checks across the pool ---------------------------------------
+
+/// Everything the per-column checks report about one table, with thrown
+/// errors kept as their text.
+struct CheckResults {
+  ValidationReport routing;
+  ValidationReport columns;  // validate_columns over every column, reversed
+  std::vector<std::vector<std::uint32_t>> cdg;
+  std::optional<IbTables> compiled;
+  std::string compile_error;
+  std::string verified;  // "1", "0" or the error text
+};
+
+CheckResults run_checks(const Network& net, const RoutingResult& rr,
+                        std::uint32_t threads) {
+  set_default_threads(threads);
+  CheckResults r;
+  r.routing = validate_routing(net, rr);
+  std::vector<NodeId> dests(rr.destinations().rbegin(),
+                            rr.destinations().rend());
+  r.columns = validate_columns(net, rr, dests);
+  r.cdg = induced_cdg(net, rr, net.terminals());
+  try {
+    r.compiled = compile_ib_tables(net, rr);
+  } catch (const std::exception& e) {
+    r.compile_error = e.what();
+  }
+  if (r.compiled) {
+    try {
+      r.verified = verify_compiled(net, rr, *r.compiled) ? "1" : "0";
+    } catch (const std::exception& e) {
+      r.verified = e.what();
+    }
+  }
+  set_default_threads(0);
+  return r;
+}
+
+void expect_same_tables(const IbTables& got, const IbTables& want) {
+  EXPECT_EQ(got.lid_of_node, want.lid_of_node);
+  EXPECT_EQ(got.node_of_lid, want.node_of_lid);
+  EXPECT_EQ(got.port_channel, want.port_channel);
+  EXPECT_EQ(got.lft, want.lft);
+  EXPECT_EQ(got.sl, want.sl);
+  EXPECT_EQ(got.sl2vl, want.sl2vl);
+  EXPECT_EQ(got.vl_by_dest, want.vl_by_dest);
+  EXPECT_EQ(got.num_vls, want.num_vls);
+}
+
+/// Runs the checks at default threads 1, 4 and 8 and expects identical
+/// results; returns the serial ones for the caller's own assertions.
+CheckResults expect_thread_independent(const std::string& name,
+                                       const Network& net,
+                                       const RoutingResult& rr) {
+  // The tables must span several chunks, or the pool is never used.
+  EXPECT_GT(rr.destinations().size(), chunk_grain(net.num_nodes()))
+      << name;
+  const CheckResults base = run_checks(net, rr, 1);
+  for (const std::uint32_t t : {4u, 8u}) {
+    SCOPED_TRACE(name + " threads=" + std::to_string(t));
+    const CheckResults got = run_checks(net, rr, t);
+    test::expect_same_report(got.routing, base.routing);
+    test::expect_same_report(got.columns, base.columns);
+    EXPECT_EQ(got.cdg, base.cdg);
+    EXPECT_EQ(got.compiled.has_value(), base.compiled.has_value());
+    if (got.compiled && base.compiled) {
+      expect_same_tables(*got.compiled, *base.compiled);
+    }
+    EXPECT_EQ(got.compile_error, base.compile_error);
+    EXPECT_EQ(got.verified, base.verified);
+  }
+  return base;
+}
+
+/// The alive switch-to-switch channel that `rr` uses toward column `di`
+/// from the first switch (in node order) that has one.
+ChannelId switch_hop(const Network& net, const RoutingResult& rr,
+                     std::uint32_t di) {
+  for (const NodeId v : net.switches()) {
+    const ChannelId c = rr.next(v, di);
+    if (c != kInvalidChannel && net.is_switch(net.dst(c))) return c;
+  }
+  ADD_FAILURE() << "column " << di << " has no switch-to-switch hop";
+  return kInvalidChannel;
+}
+
+TEST(ParallelDeterminism, ColumnChecks) {
+  const GeneratedTopology torus = generate_topology("torus:8x8x4:2");
+  NueOptions nue_opt;
+  nue_opt.num_vls = 4;
+  const RoutingResult torus_nue =
+      route_nue(torus.net, torus.net.terminals(), nue_opt);
+  const CheckResults clean =
+      expect_thread_independent("torus/nue", torus.net, torus_nue);
+  EXPECT_TRUE(clean.routing.ok()) << clean.routing.detail;
+  EXPECT_EQ(clean.verified, "1");
+  expect_thread_independent(
+      "torus/torus-qos", torus.net,
+      route_torus_qos(torus.net, *torus.torus, torus.net.terminals()));
+  {
+    const Network net = generate_topology("fattree:8:3").net;
+    expect_thread_independent("fattree/nue", net,
+                              route_nue(net, net.terminals(), nue_opt));
+  }
+  {
+    const Network net = generate_topology("kautz:3:4:3").net;
+    expect_thread_independent("kautz/lash", net,
+                              route_lash(net, net.terminals(), {}));
+  }
+
+  // Hand-broken copies of the torus table, each broken in later chunks
+  // only, so the first failure has to survive the ordered fold.
+  const std::size_t grain = chunk_grain(torus.net.num_nodes());
+  const auto col = [&](std::size_t chunk) {
+    const std::size_t di = chunk * grain + grain / 3;
+    EXPECT_LT(di, torus_nue.destinations().size());
+    return static_cast<std::uint32_t>(di);
+  };
+  {
+    RoutingResult rr = torus_nue;
+    const ChannelId c = switch_hop(torus.net, rr, col(3));
+    rr.set_next(torus.net.src(c), col(3), kInvalidChannel);
+    rr.set_next(torus.net.src(switch_hop(torus.net, rr, col(5))), col(5),
+                kInvalidChannel);
+    const CheckResults r = expect_thread_independent("hole", torus.net, rr);
+    EXPECT_FALSE(r.routing.connected);
+    // The earlier column's failure wins, in the report and in the throw.
+    const std::string first = "-> " + std::to_string(rr.destinations()[col(3)]);
+    EXPECT_NE(r.routing.detail.find(first), std::string::npos)
+        << r.routing.detail;
+    EXPECT_NE(r.verified.find("no loop-free route"), std::string::npos)
+        << r.verified;
+    EXPECT_NE(r.verified.find(first), std::string::npos) << r.verified;
+  }
+  {
+    Network net = torus.net;
+    net.remove_link(switch_hop(net, torus_nue, col(4)));
+    const CheckResults r = expect_thread_independent("dead", net, torus_nue);
+    EXPECT_FALSE(r.routing.live_elements);
+    EXPECT_NE(r.routing.detail.find("crosses a dead channel"),
+              std::string::npos)
+        << r.routing.detail;
+    EXPECT_FALSE(r.compile_error.empty());
+  }
+  {
+    RoutingResult rr = torus_nue;
+    rr.set_dest_vl(col(2), static_cast<std::uint8_t>(rr.num_vls() + 1));
+    rr.set_dest_vl(col(5), static_cast<std::uint8_t>(rr.num_vls() + 2));
+    const CheckResults r = expect_thread_independent("bad-vl", torus.net, rr);
+    EXPECT_FALSE(r.routing.vl_in_range);
+    EXPECT_TRUE(r.routing.connected);
+  }
+  {
+    RoutingResult rr = torus_nue;
+    for (std::uint32_t di = 0; di < rr.destinations().size(); ++di) {
+      rr.set_dest_vl(di, 0);
+    }
+    const CheckResults r = expect_thread_independent("cyclic", torus.net, rr);
+    EXPECT_FALSE(r.routing.deadlock_free);
+    EXPECT_EQ(r.routing.detail, "induced CDG has a cycle");
+  }
+  {
+    // A hole in chunk 2, then a removed destination in chunk 5: the
+    // removed destination overrides the earlier detail.
+    Network net = torus.net;
+    RoutingResult rr = torus_nue;
+    rr.set_next(net.src(switch_hop(net, rr, col(2))), col(2),
+                kInvalidChannel);
+    const NodeId removed = rr.destinations()[col(5)];
+    net.remove_node(removed);
+    const CheckResults r = expect_thread_independent("removed", net, rr);
+    EXPECT_EQ(r.routing.detail,
+              "table routes to removed destination " + std::to_string(removed));
+    EXPECT_FALSE(r.routing.connected);
+    EXPECT_FALSE(r.routing.live_elements);
   }
 }
 

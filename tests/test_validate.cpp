@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -227,6 +227,34 @@ TEST(InducedCdg, LineHasChainDependencies) {
   std::size_t edges = 0;
   for (const auto& a : adj) edges += a.size();
   EXPECT_GT(edges, 0u);
+}
+
+TEST(InducedCdg, EachDependencyOnceInAscendingRows) {
+  // Many columns exercise the same (channel, VL) dependency; induced_cdg
+  // lists it once, every row strictly ascending. A restored link goes to
+  // the back of its nodes' adjacency lists, so out(0) is not in channel
+  // order here.
+  Network net = generate_topology("torus:4x4:2").net;
+  const ChannelId first = net.out(0)[0];
+  net.remove_link(first);
+  net.restore_link(first);
+  ASSERT_FALSE(std::is_sorted(net.out(0).begin(), net.out(0).end()));
+  const RoutingResult rr = route_updown(net, net.terminals());
+  const auto adj = induced_cdg(net, rr, net.terminals());
+  std::size_t edges = 0;
+  for (const auto& row : adj) {
+    EXPECT_TRUE(std::adjacent_find(row.begin(), row.end(),
+                                   std::greater_equal<>()) == row.end());
+    edges += row.size();
+  }
+  std::size_t emitted = 0;  // per column, as ColumnPass reports them
+  ColumnPass pass(net, rr, rr.num_vls() + 1, rr.num_vls());
+  for (std::uint32_t di = 0; di < rr.destinations().size(); ++di) {
+    pass.run(di, net.terminals());
+    emitted += pass.edges().size();
+  }
+  EXPECT_GT(edges, 0u);
+  EXPECT_GT(emitted, edges);  // so there were repeats to fold
 }
 
 // --- stale-table hardening (docs/RESILIENCE.md) -----------------------------
@@ -877,20 +905,6 @@ const std::vector<ColumnCase>& column_cases() {
   return cases;
 }
 
-void expect_same_report(const ValidationReport& got,
-                        const ValidationReport& want) {
-  EXPECT_EQ(got.connected, want.connected);
-  EXPECT_EQ(got.cycle_free, want.cycle_free);
-  EXPECT_EQ(got.deadlock_free, want.deadlock_free);
-  EXPECT_EQ(got.vl_in_range, want.vl_in_range);
-  EXPECT_EQ(got.live_elements, want.live_elements);
-  EXPECT_EQ(got.num_paths, want.num_paths);
-  EXPECT_EQ(got.max_path_length, want.max_path_length);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.avg_path_length),
-            std::bit_cast<std::uint64_t>(want.avg_path_length));
-  EXPECT_EQ(got.detail, want.detail);
-}
-
 std::set<std::pair<std::uint32_t, std::uint32_t>> edge_set(
     const std::vector<std::vector<std::uint32_t>>& adj) {
   std::set<std::pair<std::uint32_t, std::uint32_t>> edges;
@@ -931,10 +945,10 @@ TEST(ValidateColumnPass, CorpusCoversEveryLaneSchemeAndVerdict) {
 TEST(ValidateColumnPass, ValidateRoutingMatchesPerPairWalks) {
   for (const ColumnCase& c : column_cases()) {
     SCOPED_TRACE(c.name);
-    expect_same_report(validate_routing(c.net, c.rr),
+    test::expect_same_report(validate_routing(c.net, c.rr),
                        ref::validate_routing(c.net, c.rr, {}));
     const std::vector<NodeId> half = half_the_terminals(c.net);
-    expect_same_report(validate_routing(c.net, c.rr, half),
+    test::expect_same_report(validate_routing(c.net, c.rr, half),
                        ref::validate_routing(c.net, c.rr, half));
   }
 }
@@ -950,11 +964,11 @@ TEST(ValidateColumnPass, ValidateColumnsMatchesPerPairWalks) {
       if (rng.next_below(3) == 0) dests.push_back(d);
     }
     dests.push_back(c.rr.destinations().back());
-    expect_same_report(validate_columns(c.net, c.rr, dests),
+    test::expect_same_report(validate_columns(c.net, c.rr, dests),
                        ref::validate_columns(c.net, c.rr, dests, {}));
     dests.insert(dests.begin() + static_cast<std::ptrdiff_t>(dests.size() / 2),
                  c.net.switches().empty() ? 0 : c.net.switches()[0]);
-    expect_same_report(validate_columns(c.net, c.rr, dests),
+    test::expect_same_report(validate_columns(c.net, c.rr, dests),
                        ref::validate_columns(c.net, c.rr, dests, {}));
   }
 }
