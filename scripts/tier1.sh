@@ -197,6 +197,48 @@ python3 scripts/validate_json.py scripts/schemas/run_report.schema.json \
   --zero counters/resilience.drains \
   --nonzero reconfig.a/transitions
 
+# Stalled-reader shutdown (docs/SERVICE.md): a client pipelines `tables`
+# requests (~190 kB replies each, far past the socket buffers) and never
+# reads them. SIGTERM must still end nue_managerd within 10 s (the server
+# drains for at most 1 s once the pool is idle), and the run report must
+# still be flushed.
+STALL_SOCK="build-asan/managerd-stall.sock"
+rm -f build-asan/managerd-stall.metrics.json
+ASAN_OPTIONS="halt_on_error=1" \
+  ./build-asan/tools/nue_managerd --socket "$STALL_SOCK" \
+  --load "a=torus:4x4x4:1@nue:2" \
+  --metrics-out build-asan/managerd-stall.metrics.json &
+STALL_PID=$!
+for _ in $(seq 1 100); do
+  [ -S "$STALL_SOCK" ] && break
+  sleep 0.1
+done
+python3 - "$STALL_SOCK" <<'PY' &
+import socket, sys, time
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.sendall(b'{"op":"tables","fabric":"a"}\n' * 20)
+time.sleep(60)  # never reads its replies
+PY
+STALL_CLIENT=$!
+sleep 1
+kill -TERM "$STALL_PID"
+for _ in $(seq 1 100); do
+  kill -0 "$STALL_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$STALL_PID" 2>/dev/null; then
+  echo "nue_managerd still running 10 s after SIGTERM (stalled reader)" >&2
+  kill -KILL "$STALL_PID" "$STALL_CLIENT" || true
+  exit 1
+fi
+wait "$STALL_PID"
+kill "$STALL_CLIENT" 2>/dev/null || true
+wait "$STALL_CLIENT" || true
+python3 scripts/validate_json.py scripts/schemas/run_report.schema.json \
+  build-asan/managerd-stall.metrics.json \
+  --nonzero counters/service.requests
+
 # Scale-bench smoke (docs/SCALING.md): tiny fabrics through the full
 # sweep machinery — sampled destinations, pivot-sampled escape roots,
 # validation oracle, peak-RSS capture — then the emitted records are

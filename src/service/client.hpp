@@ -56,14 +56,17 @@ class Client {
   }
 
  private:
+  /// MSG_NOSIGNAL: a daemon that has gone away makes this throw (EPIPE)
+  /// instead of raising a SIGPIPE that would kill the caller.
   void send_line(const std::string& line) {
     const std::string framed = line + "\n";
     std::size_t off = 0;
     while (off < framed.size()) {
-      const ssize_t n = ::write(fd_, framed.data() + off, framed.size() - off);
+      const ssize_t n = ::send(fd_, framed.data() + off, framed.size() - off,
+                               MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
-        throw std::runtime_error(std::string("write: ") +
+        throw std::runtime_error(std::string("send: ") +
                                  std::strerror(errno));
       }
       off += static_cast<std::size_t>(n);

@@ -1,10 +1,13 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <exception>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "routing/dump.hpp"
@@ -52,22 +55,25 @@ T uint_member(const Json& req, const std::string& key, T def) {
   return static_cast<T>(x);
 }
 
-/// Per-op request-latency histogram name. Known ops get their own series
+/// Per-op request-latency histogram. Known ops get their own series
 /// (the `service.request_us.<op>` SLO family); anything else shares one
-/// bucket so a hostile client can't grow the registry unboundedly.
-const char* request_us_name(const std::string& op) {
-  if (op == "status") return "service.request_us.status";
-  if (op == "load") return "service.request_us.load";
-  if (op == "unload") return "service.request_us.unload";
-  if (op == "route") return "service.request_us.route";
-  if (op == "tables") return "service.request_us.tables";
-  if (op == "event") return "service.request_us.event";
-  if (op == "storm") return "service.request_us.storm";
-  if (op == "reconfig-log") return "service.request_us.reconfig-log";
-  if (op == "metrics") return "service.request_us.metrics";
-  if (op == "journal") return "service.request_us.journal";
-  if (op == "shutdown") return "service.request_us.shutdown";
-  return "service.request_us.other";
+/// series so a hostile client can't grow the registry unboundedly. Each
+/// handle is looked up once, on the op's first request, so a series
+/// appears in the registry only once its op has been seen.
+telemetry::Histogram& request_us_series(const std::string& op) {
+  static constexpr std::string_view kOps[] = {
+      "status", "load",         "unload",  "route",   "tables",   "event",
+      "storm",  "reconfig-log", "metrics", "journal", "shutdown", "other"};
+  constexpr std::size_t kOther = std::size(kOps) - 1;
+  static std::atomic<telemetry::Histogram*> series[std::size(kOps)] = {};
+  std::size_t i = 0;
+  while (i < kOther && kOps[i] != op) ++i;
+  telemetry::Histogram* h = series[i].load(std::memory_order_acquire);
+  if (h == nullptr) {
+    h = &telemetry::histogram("service.request_us." + std::string(kOps[i]));
+    series[i].store(h, std::memory_order_release);
+  }
+  return *h;
 }
 
 /// The verdict line that explains a failed direct union gate: the gate's
@@ -173,7 +179,8 @@ void FabricShard::observe_transition(const TransitionRecord& rec) {
 
 Json FabricShard::route(std::uint32_t src, std::uint32_t dst) {
   queries_.fetch_add(1, std::memory_order_relaxed);
-  telemetry::counter("service.route_queries").add();
+  static auto& route_queries = telemetry::counter("service.route_queries");
+  route_queries.add();
   // Snapshot first: everything below reads this epoch's table plus the
   // fabric's immutable channel-endpoint arrays, so a concurrent event on
   // this shard cannot tear the walk (see the header's concurrency notes).
@@ -456,7 +463,9 @@ Json ManagerService::op_journal(const Json& req) {
 }
 
 Json ManagerService::handle(const Json& req) {
-  telemetry::counter("service.requests").add();
+  static auto& requests = telemetry::counter("service.requests");
+  static auto& request_us = telemetry::histogram("service.request_us");
+  requests.add();
   const std::string op = req.is_object() ? req.str("op") : "";
   const std::int64_t t0 = telemetry::now_ns();
   Json resp;
@@ -512,8 +521,8 @@ Json ManagerService::handle(const Json& req) {
   // a failing request still costs the client its latency).
   const auto us =
       static_cast<std::uint64_t>((telemetry::now_ns() - t0) / 1000);
-  telemetry::histogram("service.request_us").record(us);
-  telemetry::histogram(request_us_name(op)).record(us);
+  request_us.record(us);
+  request_us_series(op).record(us);
   // Correlation id for pipelining clients ("req_id", echoed verbatim —
   // plain "id" is taken by the event op's element id).
   if (const Json* id = req.find("req_id")) resp.set("req_id", *id);

@@ -15,9 +15,11 @@
 //     arrays — safe concurrently with fault events mutating liveness and
 //     adjacency on the same shard. Every response therefore comes from a
 //     fully validated, already-committed epoch, never a half-repaired
-//     table.
-//   * fault/repair events, table dumps, and log reads serialize on the
-//     shard's event mutex (ResilienceManager::apply's contract).
+//     table. That bound is why SocketServer answers `route` on its poll
+//     loop thread and hands every other op to the worker pool
+//     (service/server.hpp): handle() must stay cheap for `route`.
+//   * fault/repair events, table dumps, status and log reads serialize
+//     on the shard's event mutex (ResilienceManager::apply's contract).
 //   * shard map changes (load/unload) take the service's map mutex;
 //     requests against different shards proceed independently.
 #pragma once

@@ -35,6 +35,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -175,18 +176,10 @@ class Registry {
     return reg;
   }
 
-  Counter& counter(std::string_view name) {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto& slot = counters_[std::string(name)];
-    if (!slot) slot = std::make_unique<Counter>();
-    return *slot;
-  }
+  Counter& counter(std::string_view name) { return lookup(counters_, name); }
 
   Histogram& histogram(std::string_view name) {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto& slot = histograms_[std::string(name)];
-    if (!slot) slot = std::make_unique<Histogram>();
-    return *slot;
+    return lookup(histograms_, name);
   }
 
   /// Stable snapshot for the exporters (name-sorted by map order).
@@ -238,9 +231,22 @@ class Registry {
   }
 
  private:
+  /// Heterogeneous find first, so a hit builds no std::string (a
+  /// dotted name is past the small-string size and would allocate).
+  template <typename T>
+  T& lookup(std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
+            std::string_view name) {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = map.find(name);
+    if (it == map.end()) {
+      it = map.emplace(std::string(name), std::make_unique<T>()).first;
+    }
+    return *it->second;
+  }
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 inline Counter& counter(std::string_view name) {

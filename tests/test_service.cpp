@@ -14,7 +14,13 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <future>
+#include <latch>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,9 +30,11 @@
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
+#include "telemetry/telemetry.hpp"
 #include "topology/faults.hpp"
 #include "topology/generate.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nue {
 namespace {
@@ -536,6 +544,296 @@ TEST(Daemon, StormOpAndStatusCounters) {
   }
   server.stop();
   serve_thread.join();
+}
+
+// --- hostile clients ---------------------------------------------------------
+
+/// A raw connection to the daemon, with 5 s send/receive timeouts so a
+/// test that expects a reply fails instead of hanging.
+int connect_raw(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool status_ok(const std::string& path) {
+  try {
+    Client client(path);
+    return client.request(Json::parse(R"({"op":"status"})")).boolean("ok");
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "status connection failed: " << e.what();
+    return false;
+  }
+}
+
+Json tables_request() {
+  return Json::object().set("op", "tables").set("fabric", "a");
+}
+
+resilience::RepairPolicy small_policy() {
+  resilience::RepairPolicy pol;
+  pol.vls = 2;
+  pol.num_threads = 1;
+  return pol;
+}
+
+// Client hangs up with most of a large reply (~1 MB of tables, several
+// socket buffers) still unwritten: the daemon drops that connection and
+// keeps serving the next one.
+TEST(Daemon, ClientHangingUpMidReplyLeavesOthersServed) {
+  ManagerService svc;
+  svc.load("a", "torus:5x5x5:1", small_policy());
+  const std::string path = temp_socket_path("midreply");
+  SocketServer server(path, svc);
+  std::thread serve_thread([&server] { server.serve(); });
+  const int fd = connect_raw(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, tables_request().dump() + "\n"));
+  char head[16];
+  const ssize_t n = ::recv(fd, head, sizeof(head), MSG_WAITALL);
+  ::close(fd);
+  EXPECT_EQ(n, static_cast<ssize_t>(sizeof(head)));
+  EXPECT_TRUE(status_ok(path));
+  server.stop();
+  serve_thread.join();
+}
+
+// A client that pipelines large requests and never reads stalls only
+// itself: other connections are served meanwhile, and stop() makes
+// serve() return within the drain deadline (1 s) instead of waiting for
+// the stalled reader. The bound asserted is 5 s, for sanitizer builds.
+TEST(Daemon, StalledReaderDoesNotBlockShutdown) {
+  ManagerService svc;
+  svc.load("a", "torus:4x4x4:1", small_policy());
+  const std::string path = temp_socket_path("stalled");
+  SocketServer server(path, svc);
+  std::promise<void> served;
+  std::future<void> returned = served.get_future();
+  std::thread serve_thread([&server, &served] {
+    server.serve();
+    served.set_value();
+  });
+  const int fd = connect_raw(path);
+  ASSERT_GE(fd, 0);
+  // 20 replies of ~190 kB each: far more than the socket buffers hold.
+  std::string burst;
+  for (int i = 0; i < 20; ++i) burst += tables_request().dump() + "\n";
+  ASSERT_TRUE(send_all(fd, burst));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_TRUE(status_ok(path));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  const bool in_time =
+      returned.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  // Close the stalled connection at the latest now, so a server blocked
+  // writing to it fails this test instead of hanging it.
+  ::close(fd);
+  serve_thread.join();
+  EXPECT_TRUE(in_time) << "serve() still running " << waited_s
+                       << " s after stop()";
+}
+
+// stop() while a request is on the pool: serve() waits for it and still
+// delivers its reply to a client that reads, then closes.
+TEST(Daemon, StopDeliversTheReplyStillOnThePool) {
+  telemetry::EnabledScope on(true);  // to see the storm start
+  ManagerService svc;
+  svc.load("a", "torus:4x4x4:1", small_policy());
+  const std::string path = temp_socket_path("drain");
+  SocketServer server(path, svc);
+  std::thread serve_thread([&server] { server.serve(); });
+  const int fd = connect_raw(path);
+  ASSERT_GE(fd, 0);
+  auto& events = telemetry::counter("service.fault_events");
+  const std::uint64_t before = events.value();
+  ASSERT_TRUE(send_all(
+      fd, R"({"op":"storm","fabric":"a","events":60,"seed":4,"req_id":7})"
+          "\n"));
+  while (events.value() == before) std::this_thread::yield();
+  server.stop();
+  serve_thread.join();  // returns once the storm's reply is written
+  std::string reply;
+  char chunk[4096];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0;) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(reply.back(), '\n');
+  const Json resp = Json::parse(reply.substr(0, reply.size() - 1));
+  EXPECT_TRUE(resp.boolean("ok")) << resp.dump();
+  EXPECT_EQ(resp.num("req_id"), 7.0);
+  EXPECT_EQ(resp.num("events"), 60.0);
+}
+
+// 100 pipelined requests in one write — inline route queries, pool-bound
+// status and event requests interleaved — come back in request order.
+TEST(Daemon, PipelinedMixedBurstRepliesInRequestOrder) {
+  ManagerService svc;
+  svc.load("a", "torus:4x4x4:1", small_policy());
+  const std::string path = temp_socket_path("burst");
+  SocketServer server(path, svc);
+  std::thread serve_thread([&server] { server.serve(); });
+  const int fd = connect_raw(path);
+  ASSERT_GE(fd, 0);
+  constexpr int kRequests = 100;
+  const char* const kOps[] = {"route", "status", "event"};
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    Json req = Json::object().set("op", kOps[i % 3]).set("req_id", i);
+    if (i % 3 != 1) req.set("fabric", "a");
+    if (i % 3 == 0) {  // terminals are nodes 64..127
+      req.set("src", 64 + i % 64).set("dst", 64 + (i * 7 + 1) % 64);
+    } else if (i % 3 == 2) {
+      req.set("kind", (i / 3) % 2 == 0 ? "link-down" : "link-up");
+      req.set("id", (i / 6) % 32);
+    }
+    burst += req.dump() + "\n";
+  }
+  ASSERT_TRUE(send_all(fd, burst));
+  std::string buffer;
+  int next = 0;
+  char chunk[4096];
+  while (next < kRequests) {
+    const std::size_t nl = buffer.find('\n');
+    if (nl == std::string::npos) {
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      buffer.append(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    const Json resp = Json::parse(buffer.substr(0, nl));
+    buffer.erase(0, nl + 1);
+    ASSERT_NE(resp.find("req_id"), nullptr) << resp.dump();
+    EXPECT_EQ(resp.num("req_id"), next) << resp.dump();
+    EXPECT_EQ(resp.str("op"), kOps[next % 3]) << resp.dump();
+    ++next;
+  }
+  ::close(fd);
+  server.stop();
+  serve_thread.join();
+  EXPECT_EQ(next, kRequests);
+}
+
+struct ProcessFootprint {
+  std::size_t tasks = 0;
+  std::size_t vm_kb = 0;
+};
+
+ProcessFootprint footprint() {
+  ProcessFootprint f;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++f.tasks;
+  }
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) f.vm_kb = std::stoul(line.substr(7));
+  }
+  return f;
+}
+
+/// Run one task on every pool worker at once, each allocating: glibc
+/// reserves a 64 MB malloc arena on a thread's first allocation, and a
+/// worker's first request must not read as growth.
+void allocate_on_every_pool_worker() {
+  ThreadPool& pool = ThreadPool::shared();
+  const auto all_running = std::make_shared<std::latch>(pool.workers());
+  std::vector<std::future<void>> done;
+  for (unsigned i = 0; i < pool.workers(); ++i) {
+    const auto finished = std::make_shared<std::promise<void>>();
+    done.push_back(finished->get_future());
+    pool.submit([all_running, finished] {
+      static std::atomic<char*> sink{nullptr};
+      delete[] sink.exchange(new char[4096]);
+      all_running->arrive_and_wait();  // so each worker runs one task
+      finished->set_value();
+    });
+  }
+  for (auto& f : done) f.wait();
+}
+
+// Connections come and go without leaving threads or thread stacks
+// behind: 1,000 connect/request/close cycles keep the task count and
+// the virtual size flat. (An unjoined thread per connection would keep
+// an 8 MB stack mapping each, ~8 GB in all.)
+TEST(Daemon, ConnectCloseCyclesKeepThreadsAndMemoryFlat) {
+  ManagerService svc;
+  svc.load("a", "torus:3x3:1", small_policy());
+  const std::string path = temp_socket_path("cycles");
+  SocketServer server(path, svc);
+  std::thread serve_thread([&server] { server.serve(); });
+  const auto cycle = [&path] {
+    Client client(path);
+    return client.request(Json::parse(R"({"op":"status"})")).boolean("ok");
+  };
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(cycle());  // warm the pool
+  allocate_on_every_pool_worker();
+  const ProcessFootprint before = footprint();
+  int ok = 0;
+  for (int i = 0; i < 1000; ++i) ok += cycle() ? 1 : 0;
+  const ProcessFootprint after = footprint();
+  server.stop();
+  serve_thread.join();
+  EXPECT_EQ(ok, 1000);
+  EXPECT_LE(after.tasks, before.tasks + 2);
+  EXPECT_LE(after.vm_kb, before.vm_kb + 64 * 1024)
+      << "VmSize grew from " << before.vm_kb << " kB to " << after.vm_kb
+      << " kB";
+}
+
+// A Client whose daemon has gone away throws; it must not die of
+// SIGPIPE. The listener accepts and closes before the request is sent.
+TEST(Daemon, ClientThrowsWhenTheDaemonHasHungUp) {
+  const std::string path = temp_socket_path("hungup");
+  const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  ::unlink(path.c_str());
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  std::thread acceptor([lfd] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    if (fd >= 0) ::close(fd);
+  });
+  {
+    Client client(path);
+    acceptor.join();  // the peer is gone before the request is written
+    EXPECT_THROW(client.request(Json::parse(R"({"op":"status"})")),
+                 std::runtime_error);
+  }
+  ::close(lfd);
+  ::unlink(path.c_str());
 }
 
 }  // namespace
