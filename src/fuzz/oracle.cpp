@@ -20,21 +20,25 @@ void add_violation(OracleReport& rep, const std::string& kind,
 
 /// Count source->destination paths longer than the BFS lower bound.
 /// Only called once the table is known connected and cycle-free, so
-/// trace() cannot throw.
+/// every route reaches its destination and has a hop depth.
 void check_minimality(const Network& net, const RoutingResult& rr,
                       OracleReport& rep) {
   rep.minimality_checked = true;
   const auto sources = net.terminals();
-  for (NodeId d : rr.destinations()) {
+  ColumnPass pass(net, rr);
+  for (std::size_t di = 0; di < rr.destinations().size(); ++di) {
+    const NodeId d = rr.destinations()[di];
     if (!net.node_alive(d)) continue;
     const auto dist = bfs_distances(net, d);
+    pass.run(static_cast<std::uint32_t>(di), sources);
     for (NodeId s : sources) {
       if (s == d) continue;
-      const auto path = rr.trace(net, s, d);
-      if (path.size() > dist[s]) {
+      NUE_DCHECK(pass.end(s) == ColumnPass::End::kReached);
+      const std::uint32_t hops = pass.depth(s);
+      if (hops > dist[s]) {
         if (rep.nonminimal_paths == 0) {
           std::stringstream ss;
-          ss << "route " << s << " -> " << d << " takes " << path.size()
+          ss << "route " << s << " -> " << d << " takes " << hops
              << " hops, BFS lower bound is " << dist[s];
           add_violation(rep, "non-minimal-path", ss.str());
         }

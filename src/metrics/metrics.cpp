@@ -1,28 +1,42 @@
 #include "metrics/metrics.hpp"
 
 #include "graph/algorithms.hpp"
+#include "routing/validate.hpp"
 #include "util/error.hpp"
 
 namespace nue {
+
+namespace {
+
+/// Walk column `di` from every terminal; throws unless every route
+/// arrives.
+void run_complete(ColumnPass& pass, std::uint32_t di, NodeId d,
+                  const std::vector<NodeId>& terminals) {
+  pass.run(di, terminals);
+  for (NodeId s : terminals) {
+    if (s == d) continue;
+    const ColumnPass::End end = pass.end(s);
+    NUE_CHECK_MSG(end != ColumnPass::End::kLoop, "routing loop");
+    NUE_CHECK_MSG(end == ColumnPass::End::kReached,
+                  "incomplete routing tables");
+  }
+}
+
+}  // namespace
 
 std::vector<std::uint64_t> edge_forwarding_index(const Network& net,
                                                  const RoutingResult& rr) {
   std::vector<std::uint64_t> gamma(net.num_channels(), 0);
   const auto terminals = net.terminals();
-  for (std::size_t di = 0; di < rr.destinations().size(); ++di) {
-    const NodeId d = rr.destinations()[di];
+  ColumnPass pass(net, rr);
+  for (std::size_t i = 0; i < rr.destinations().size(); ++i) {
+    const NodeId d = rr.destinations()[i];
     if (!net.is_terminal(d)) continue;
-    for (NodeId s : terminals) {
-      if (s == d) continue;
-      NodeId at = s;
-      std::size_t hops = 0;
-      while (at != d) {
-        const ChannelId c = rr.next(at, static_cast<std::uint32_t>(di));
-        NUE_CHECK_MSG(c != kInvalidChannel, "incomplete routing tables");
-        ++gamma[c];
-        at = net.dst(c);
-        NUE_CHECK_MSG(++hops <= net.num_nodes(), "routing loop");
-      }
+    const auto di = static_cast<std::uint32_t>(i);
+    run_complete(pass, di, d, terminals);
+    pass.count_loads(terminals);
+    for (const ColumnPass::Visit& v : pass.visits()) {
+      gamma[rr.next(v.node, di)] += pass.load(v);
     }
   }
   return gamma;
@@ -44,15 +58,17 @@ PathLengthSummary path_length_stats(const Network& net,
   PathLengthSummary r;
   std::uint64_t total = 0, total_sp = 0, pairs = 0;
   const auto terminals = net.terminals();
-  for (std::size_t di = 0; di < rr.destinations().size(); ++di) {
-    const NodeId d = rr.destinations()[di];
+  ColumnPass pass(net, rr);
+  for (std::size_t i = 0; i < rr.destinations().size(); ++i) {
+    const NodeId d = rr.destinations()[i];
     if (!net.is_terminal(d)) continue;
     const auto sp = bfs_distances(net, d);
+    run_complete(pass, static_cast<std::uint32_t>(i), d, terminals);
     for (NodeId s : terminals) {
       if (s == d) continue;
-      const auto path = rr.trace(net, s, d);
-      total += path.size();
-      r.max = std::max(r.max, path.size());
+      const std::size_t hops = pass.depth(s);
+      total += hops;
+      r.max = std::max(r.max, hops);
       NUE_CHECK(sp[s] != kUnreachable);
       total_sp += sp[s];
       r.max_shortest = std::max<std::size_t>(r.max_shortest, sp[s]);

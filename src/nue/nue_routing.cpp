@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -11,6 +12,7 @@
 #include "nue/complete_cdg.hpp"
 #include "routing/cdg_index.hpp"
 #include "routing/sssp_engine.hpp"
+#include "routing/validate.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/arena.hpp"
 #include "util/epoch.hpp"
@@ -34,6 +36,28 @@ constexpr double kBalanceDamping = 50.0;
 /// before reverting to the escape-first setup; each try is one BFS and
 /// checked marking pass per layer, so the cap bounds repair latency.
 constexpr std::size_t kRerouteRootAttempts = 16;
+
+/// The surviving dependencies of old column d (search orientation, in
+/// ascending v): its consecutive still-alive hop pairs, which in-flight
+/// packets hold until they reach the dead element or d. On a column
+/// affected_destinations keeps, that is every dependency. `f(from, to)`
+/// returns false to stop the walk, and the result says whether it ran on.
+template <typename F>
+bool for_each_surviving_dep(const Network& net, const RoutingResult& old,
+                            NodeId d, F&& f) {
+  const std::uint32_t odi = old.dest_index(d);
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (v == d || !net.node_alive(v)) continue;
+    const ChannelId c = old.next(v, odi);  // traffic channel v -> p
+    if (c == kInvalidChannel || !net.channel_alive(c)) continue;
+    const NodeId p = net.dst(c);
+    if (p == d || !net.node_alive(p)) continue;
+    const ChannelId pc = old.next(p, odi);
+    if (pc == kInvalidChannel || !net.channel_alive(pc)) continue;
+    if (!f(reverse(pc), reverse(c))) return false;
+  }
+  return true;
+}
 
 /// Routes all destinations of one virtual layer inside that layer's
 /// complete CDG.
@@ -62,7 +86,8 @@ class LayerRouter {
         node_dist_(net.num_nodes(), kInf),
         used_channel_(net.num_nodes(), kInvalidChannel),
         chan_dist_(net.num_channels(), kInf),
-        heap_(net.num_channels()) {
+        heap_(net.num_channels()),
+        terminals_(net.terminals()) {
     cdg_.set_keep_blocked(opt.sticky_restrictions);
     const std::size_t n = net.num_nodes();
     scratch_.reset();  // reclaim any previous router's slices
@@ -158,42 +183,26 @@ class LayerRouter {
   /// previously kept columns) — the caller then recomputes it instead.
   /// Partially placed marks stay: they are correct (they mirror real old
   /// dependencies) and only slightly over-constrain the layer.
-  bool premark_column_checked(const RoutingResult& old, std::uint32_t old_di,
-                              NodeId d) {
-    for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-      if (v == d || !net_.node_alive(v)) continue;
-      const ChannelId c = old.next(v, old_di);  // traffic channel v -> p
-      NUE_DCHECK(c != kInvalidChannel);
-      const NodeId p = net_.dst(c);
-      if (p == d) continue;
-      const ChannelId pc = old.next(p, old_di);
-      if (!cdg_.try_force_edge_used(reverse(pc), reverse(c))) return false;
-    }
-    return true;
+  bool premark_column_checked(const RoutingResult& old, NodeId d) {
+    return for_each_surviving_dep(
+        net_, old, d, [&](ChannelId from, ChannelId to) {
+          return cdg_.try_force_edge_used(from, to);
+        });
   }
 
-  /// Best-effort pre-marking of a broken column's STALE dependencies: the
-  /// consecutive still-alive hop pairs of the old column, which in-flight
-  /// packets keep occupying until they reach the dead element (or the
-  /// destination, for the intact tail). Routing the replacement column
-  /// around these marks keeps the old+new union CDG acyclic — the
-  /// resilience manager's condition for a hitless table swap. Unlike the
-  /// kept-column premark this must not fail the column: a mark that would
-  /// close a cycle is skipped (returned in the count) and the transition
-  /// gate downstream gets the final say.
-  std::size_t premark_stale_deps(const RoutingResult& old,
-                                 std::uint32_t old_di, NodeId d) {
+  /// Best-effort pre-marking of a broken column's STALE dependencies (its
+  /// surviving dependencies). Routing the replacement column around these
+  /// marks keeps the old+new union CDG acyclic — the resilience manager's
+  /// condition for a hitless table swap. Unlike the kept-column premark
+  /// this must not fail the column: a mark that would close a cycle is
+  /// skipped (returned in the count) and the transition gate downstream
+  /// gets the final say.
+  std::size_t premark_stale_deps(const RoutingResult& old, NodeId d) {
     std::size_t skipped = 0;
-    for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-      if (v == d || !net_.node_alive(v)) continue;
-      const ChannelId c = old.next(v, old_di);  // traffic channel v -> p
-      if (c == kInvalidChannel || !net_.channel_alive(c)) continue;
-      const NodeId p = net_.dst(c);
-      if (p == d || !net_.node_alive(p)) continue;
-      const ChannelId pc = old.next(p, old_di);
-      if (pc == kInvalidChannel || !net_.channel_alive(pc)) continue;
-      if (!cdg_.try_force_edge_used(reverse(pc), reverse(c))) ++skipped;
-    }
+    for_each_surviving_dep(net_, old, d, [&](ChannelId from, ChannelId to) {
+      if (!cdg_.try_force_edge_used(from, to)) ++skipped;
+      return true;
+    });
     return skipped;
   }
 
@@ -274,7 +283,7 @@ class LayerRouter {
     }
     cdg_.end_step(keep_flags_);
     for (const auto e : kept) keep_flags_[e] = 0;
-    update_weights(d, /*escape=*/false);
+    update_weights(rr, di);
     return true;
   }
 
@@ -400,7 +409,7 @@ class LayerRouter {
       NUE_DCHECK(escape_next_[v] != kInvalidChannel);
       rr.set_next(v, di, escape_next_[v]);
     }
-    update_weights(d, /*escape=*/true);
+    update_weights(rr, di);
   }
 
   // --- Algorithm 1 ----------------------------------------------------------
@@ -636,24 +645,18 @@ class LayerRouter {
   // --- balancing ------------------------------------------------------------
 
   /// DFSSSP-style weight update: +1 per terminal-to-destination route on
-  /// every search-orientation channel the route's reverse traffic uses.
-  void update_weights(NodeId d, bool escape) {
-    for (NodeId t : net_.terminals()) {
-      if (t == d || !net_.node_alive(t)) continue;
-      NodeId at = t;
-      std::size_t guard = 0;
-      while (at != d) {
-        ChannelId search_chan;
-        if (escape) {
-          search_chan = reverse(escape_next_[at]);
-          at = net_.dst(escape_next_[at]);
-        } else {
-          search_chan = used_channel_[at];
-          at = net_.src(search_chan);
-        }
-        weights_[search_chan] += 1.0;
-        NUE_CHECK_MSG(++guard <= net_.num_nodes(), "routing loop in Nue");
-      }
+  /// every search-orientation channel the route's reverse traffic uses,
+  /// i.e. each channel of column di gains the load the column pass counts
+  /// on it. The weights stay integer-valued, so the sum is exact in any
+  /// order.
+  void update_weights(const RoutingResult& rr, std::uint32_t di) {
+    if (!loads_) loads_.emplace(net_, rr);
+    loads_->run(di, terminals_);
+    loads_->count_loads(terminals_);
+    for (const ColumnPass::Visit& v : loads_->visits()) {
+      NUE_CHECK_MSG(loads_->end(v.source) == ColumnPass::End::kReached,
+                    "routing loop in Nue");
+      weights_[reverse(rr.next(v.node, di))] += loads_->load(v);
     }
   }
 
@@ -689,7 +692,18 @@ class LayerRouter {
   std::vector<ChannelId> children_;
   NodeId dest_ = kInvalidNode;
   std::size_t alt_rr_ = 0;
+  // balancing: the alive terminals, and one column pass over the table
+  // this router writes (a router only ever writes one)
+  std::vector<NodeId> terminals_;
+  std::optional<ColumnPass> loads_;
 };
+
+/// Add the ω-search counters of the router that routed a layer.
+void add_cdg_stats(NueStats& ls, const LayerRouter& router) {
+  ls.cycle_searches += router.cdg_stats().dfs_searches;
+  ls.cycle_search_steps += router.cdg_stats().dfs_steps;
+  ls.fast_accepts += router.cdg_stats().fast_accepts;
+}
 
 /// Fold one layer's stats into the run total. Called in ascending layer
 /// order after the (possibly concurrent) layer tasks finish, so the
@@ -820,23 +834,28 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
   }
   RoutingResult rr(net.num_nodes(), dests, old.num_vls(), VlMode::kPerDest);
 
-  // Classify columns: a column survives iff every alive node still has a
-  // live next channel toward a live neighbor (the pointer chains are
-  // unchanged, so intact entries still terminate at the destination).
+  // A column survives iff affected_destinations keeps it: its unchanged
+  // pointer chains still end at the destination.
+  std::vector<std::uint8_t> broken(net.num_nodes(), 0);
+  for (NodeId d : affected_destinations(net, old)) broken[d] = 1;
   std::vector<std::vector<NodeId>> kept(old.num_vls());
   std::vector<std::vector<NodeId>> affected(old.num_vls());
   for (NodeId d : dests) {
-    const std::uint32_t old_di = old.dest_index(d);
-    const std::uint32_t layer = old.vl(d, d, old_di);
-    bool intact = true;
-    for (NodeId v = 0; v < net.num_nodes() && intact; ++v) {
-      if (v == d || !net.node_alive(v)) continue;
-      const ChannelId c = old.next(v, old_di);
-      intact = c != kInvalidChannel && net.channel_alive(c) &&
-               net.node_alive(net.dst(c));
-    }
-    (intact ? kept : affected)[layer].push_back(d);
+    const std::uint32_t layer = old.vl(d, d, old.dest_index(d));
+    (broken[d] ? affected : kept)[layer].push_back(d);
   }
+  // A kept column is reused verbatim at the alive nodes. Like the
+  // resilience manager's splice, reroute copies alive nodes only: a
+  // restored switch comes back as a hole that affected_destinations flags.
+  const auto keep_column = [&](NodeId d, std::uint32_t layer) {
+    const std::uint32_t old_di = old.dest_index(d);
+    const std::uint32_t di = rr.dest_index(d);
+    rr.set_dest_vl(di, static_cast<std::uint8_t>(layer));
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      if (v == d || !net.node_alive(v)) continue;
+      rr.set_next(v, di, old.next(v, old_di));
+    }
+  };
 
   // Layers keep their original destination partition, so they stay
   // independent and recompute concurrently — same argument as route_nue,
@@ -857,15 +876,7 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
         }
         if (affected[layer].empty()) {
           // Nothing to recompute: reuse every column verbatim.
-          for (NodeId d : kept[layer]) {
-            const std::uint32_t old_di = old.dest_index(d);
-            const std::uint32_t di = rr.dest_index(d);
-            rr.set_dest_vl(di, static_cast<std::uint8_t>(layer));
-            for (NodeId v = 0; v < net.num_nodes(); ++v) {
-              if (v == d || !net.node_alive(v)) continue;
-              rr.set_next(v, di, old.next(v, old_di));
-            }
-          }
+          for (NodeId d : kept[layer]) keep_column(d, layer);
           lrs.dests_kept += kept[layer].size();
           ls.roots.push_back(kInvalidNode);  // no new escape tree this layer
           return;
@@ -958,23 +969,14 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
         // column with zero skips has its whole surviving dependency set in
         // the CDG and is eligible for the partial repair below.
         std::unordered_map<NodeId, std::size_t> col_skips;
-        // Collector for one old column's surviving dependencies (the
-        // consecutive still-alive hop pairs, search orientation). Kept
-        // columns are fully alive, so the same liveness-filtered walk
-        // yields their complete dependency set too.
+        // One old layer's surviving dependencies, kept columns included.
         std::vector<std::pair<ChannelId, ChannelId>> old_deps;
         const auto collect_column_deps = [&](NodeId d) {
-          const std::uint32_t odi = old.dest_index(d);
-          for (NodeId v = 0; v < net.num_nodes(); ++v) {
-            if (v == d || !net.node_alive(v)) continue;
-            const ChannelId c = old.next(v, odi);  // traffic channel v -> p
-            if (c == kInvalidChannel || !net.channel_alive(c)) continue;
-            const NodeId p = net.dst(c);
-            if (p == d || !net.node_alive(p)) continue;
-            const ChannelId pc = old.next(p, odi);
-            if (pc == kInvalidChannel || !net.channel_alive(pc)) continue;
-            old_deps.emplace_back(reverse(pc), reverse(c));
-          }
+          for_each_surviving_dep(net, old, d,
+                                 [&](ChannelId from, ChannelId to) {
+                                   old_deps.emplace_back(from, to);
+                                   return true;
+                                 });
         };
         while (true) {
           root = escape_first ? preferred_root() : candidates[root_attempt];
@@ -1015,7 +1017,7 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
           bool demoted = false;
           std::vector<NodeId> still_kept;
           for (NodeId d : keep_cols) {
-            if (router->premark_column_checked(old, old.dest_index(d), d)) {
+            if (router->premark_column_checked(old, d)) {
               still_kept.push_back(d);
             } else {
               to_route.push_back(d);
@@ -1028,28 +1030,19 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
           std::size_t skipped = 0;
           col_skips.clear();
           for (NodeId d : to_route) {
-            const std::size_t sk =
-                router->premark_stale_deps(old, old.dest_index(d), d);
+            const std::size_t sk = router->premark_stale_deps(old, d);
             col_skips[d] = sk;
             skipped += sk;
           }
           for (NodeId d : stale_only[layer]) {
-            skipped += router->premark_stale_deps(old, old.dest_index(d), d);
+            skipped += router->premark_stale_deps(old, d);
           }
           lrs.stale_marks_skipped += skipped;
           break;
         }
         ls.roots.push_back(root);
-        for (NodeId d : keep_cols) {
-          const std::uint32_t old_di = old.dest_index(d);
-          const std::uint32_t di = rr.dest_index(d);
-          rr.set_dest_vl(di, static_cast<std::uint8_t>(layer));
-          for (NodeId v = 0; v < net.num_nodes(); ++v) {
-            if (v == d || !net.node_alive(v)) continue;
-            rr.set_next(v, di, old.next(v, old_di));
-          }
-          ++lrs.dests_kept;
-        }
+        for (NodeId d : keep_cols) keep_column(d, layer);
+        lrs.dests_kept += keep_cols.size();
         for (NodeId d : to_route) {
           const std::uint32_t di = rr.dest_index(d);
           rr.set_dest_vl(di, static_cast<std::uint8_t>(layer));
@@ -1069,6 +1062,7 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
           }
           ++lrs.dests_rerouted;
         }
+        add_cdg_stats(ls, *router);
       });
   for (std::uint32_t layer = 0; layer < old.num_vls(); ++layer) {
     merge_stats(st, layer_stats[layer]);
@@ -1151,9 +1145,7 @@ RoutingResult route_nue(const Network& net, const std::vector<NodeId>& dests,
           rr.set_dest_vl(di, static_cast<std::uint8_t>(layer));
           router.route_destination(d, rr, di);
         }
-        ls.cycle_searches += router.cdg_stats().dfs_searches;
-        ls.cycle_search_steps += router.cdg_stats().dfs_steps;
-        ls.fast_accepts += router.cdg_stats().fast_accepts;
+        add_cdg_stats(ls, router);
       });
   for (std::uint32_t layer = 0; layer < opt.num_vls; ++layer) {
     merge_stats(st, layer_stats[layer]);

@@ -134,6 +134,10 @@ struct RerouteStats {
 /// failed element (or that died themselves) are recomputed, inside a CDG
 /// pre-seeded with the preserved columns' dependencies so the merged
 /// routing stays deadlock-free (Theorem 1 applies to the union).
+/// `stats` reports the work of the router that routed each layer, as
+/// route_nue does; the ω-search counters of escape-root attempts that
+/// were discarded (an incompatible escape tree, or a demotion restart)
+/// are not counted.
 RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
                           const NueOptions& opt = {},
                           RerouteStats* reroute_stats = nullptr,

@@ -196,7 +196,7 @@ TransitionRecord ResilienceManager::gate_and_commit(
       TransitionRecord wrec = wave_record(
           rec, 1, rec.total_dests,  // every column changes lanes
           "wave 1/2: vl-shifted candidate, union vertex-disjoint", timer);
-      commit(shift_vls(net_, *cand.rr, shift), wrec);
+      commit(shift_vls(*cand.rr, shift), wrec);
       rec.committed_step = cand.step;
       rec.repair_ms = timer.millis();
       commit(std::move(*cand.rr), rec);
@@ -344,21 +344,10 @@ RoutingResult ResilienceManager::splice_incremental(const RoutingResult& old) {
     // VL assignments are inherited wherever the old table has them (new
     // destinations start on layer 0); whether the guess holds on the
     // repaired paths is the validator's and the union gate's call.
-    switch (old.vl_mode()) {
-      case VlMode::kPerDest:
-        rr.set_dest_vl(di, has_old ? old.vl(d, d, old_di) : 0);
-        break;
-      case VlMode::kPerSource:
-        for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-          rr.set_source_vl(v, di, has_old ? old.vl(d, v, old_di) : 0);
-        }
-        break;
-      case VlMode::kPerHop:
-        for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-          rr.set_hop_vl(v, di, has_old ? old.vl(v, d, old_di) : 0);
-        }
-        break;
-    }
+    if (has_old) rr.copy_lanes(di, old, old_di);
+    // Next pointers at alive nodes only: a restored switch comes back as
+    // a hole, which affected_destinations flags (blend_tables copies
+    // verbatim, and says why).
     if (has_old && !broken[d]) {
       for (NodeId v = 0; v < net_.num_nodes(); ++v) {
         if (v == d || !net_.node_alive(v)) continue;

@@ -32,36 +32,6 @@ std::vector<Edge> column_edges(ColumnPass& pass, std::uint32_t di,
   return edges;
 }
 
-/// Forwarding columns equal over the alive fabric. Entries at dead nodes
-/// are ignored: no packet can be there to request a resource, and the
-/// splice/reroute producers legitimately leave holes where the old table
-/// kept stale entries.
-bool columns_equal(const Network& net, const RoutingResult& a,
-                   std::uint32_t adi, const RoutingResult& b,
-                   std::uint32_t bdi, NodeId d) {
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (v == d || !net.node_alive(v)) continue;
-    if (a.next(v, adi) != b.next(v, bdi)) return false;
-  }
-  switch (a.vl_mode()) {
-    case VlMode::kPerDest:
-      return a.vl(d, d, adi) == b.vl(d, d, bdi);
-    case VlMode::kPerSource:
-      for (NodeId v = 0; v < net.num_nodes(); ++v) {
-        if (v == d || !net.node_alive(v)) continue;
-        if (a.vl(d, v, adi) != b.vl(d, v, bdi)) return false;
-      }
-      return true;
-    case VlMode::kPerHop:
-      for (NodeId v = 0; v < net.num_nodes(); ++v) {
-        if (v == d || !net.node_alive(v)) continue;
-        if (a.vl(v, d, adi) != b.vl(v, d, bdi)) return false;
-      }
-      return true;
-  }
-  return true;
-}
-
 /// Incrementally growable dependency graph with a maintained topological
 /// order: a candidate edge set whose edges all run forward in the current
 /// order is admitted without a recheck; otherwise one Kahn pass decides
@@ -153,7 +123,7 @@ WavePlan schedule_waves(const Network& net, const RoutingResult& old_rr,
       deltas.push_back(std::move(dl));
       continue;
     }
-    if (columns_equal(net, old_rr, old_di, new_rr, di32, d)) {
+    if (new_rr.same_column(net, di32, old_rr, old_di)) {
       const std::vector<Edge> es = column_edges(new_pass, di32, seeds);
       base_edges.insert(base_edges.end(), es.begin(), es.end());
       continue;
@@ -248,39 +218,17 @@ WavePlan schedule_waves(const Network& net, const RoutingResult& old_rr,
   return plan;
 }
 
-RoutingResult shift_vls(const Network& net, const RoutingResult& rr,
-                        std::uint32_t shift) {
-  RoutingResult out(net.num_nodes(), rr.destinations(),
-                    shift + rr.num_vls(), rr.vl_mode());
-  for (std::size_t di = 0; di < rr.destinations().size(); ++di) {
-    const NodeId d = rr.destinations()[di];
-    const auto di32 = static_cast<std::uint32_t>(di);
-    for (NodeId v = 0; v < net.num_nodes(); ++v) {
-      if (v == d) continue;
-      out.set_next(v, di32, rr.next(v, di32));
-    }
-    switch (rr.vl_mode()) {
-      case VlMode::kPerDest:
-        out.set_dest_vl(di32,
-                        static_cast<std::uint8_t>(rr.vl(d, d, di32) + shift));
-        break;
-      case VlMode::kPerSource:
-        for (NodeId v = 0; v < net.num_nodes(); ++v) {
-          out.set_source_vl(
-              v, di32, static_cast<std::uint8_t>(rr.vl(d, v, di32) + shift));
-        }
-        break;
-      case VlMode::kPerHop:
-        for (NodeId v = 0; v < net.num_nodes(); ++v) {
-          out.set_hop_vl(
-              v, di32, static_cast<std::uint8_t>(rr.vl(v, d, di32) + shift));
-        }
-        break;
-    }
-  }
+RoutingResult shift_vls(const RoutingResult& rr, std::uint32_t shift) {
+  RoutingResult out = rr;
+  out.shift_lanes(shift);
   return out;
 }
 
+// Blends copy next pointers verbatim, dead nodes included: a route query
+// that races the chain still walks the old column through a switch that
+// just failed, and the churn bench counts such a query as failed. The
+// repair producers (splice, reroute) copy alive nodes only, so that a
+// restored switch comes back as a hole affected_destinations flags.
 RoutingResult blend_tables(const Network& net, const RoutingResult& old_rr,
                            const RoutingResult& new_rr,
                            const std::vector<std::uint8_t>& take_new) {
@@ -301,21 +249,7 @@ RoutingResult blend_tables(const Network& net, const RoutingResult& old_rr,
       if (v == d) continue;
       rr.set_next(v, di32, src.next(v, sdi));
     }
-    switch (rr.vl_mode()) {
-      case VlMode::kPerDest:
-        rr.set_dest_vl(di32, src.vl(d, d, sdi));
-        break;
-      case VlMode::kPerSource:
-        for (NodeId v = 0; v < net.num_nodes(); ++v) {
-          rr.set_source_vl(v, di32, src.vl(d, v, sdi));
-        }
-        break;
-      case VlMode::kPerHop:
-        for (NodeId v = 0; v < net.num_nodes(); ++v) {
-          rr.set_hop_vl(v, di32, src.vl(v, d, sdi));
-        }
-        break;
-    }
+    rr.copy_lanes(di32, src, sdi);
   }
   return rr;
 }

@@ -92,7 +92,6 @@ RoutingResult blend_tables(const Network& net, const RoutingResult& old_rr,
 /// the table occupies only lanes [shift, shift + num_vls). Against any
 /// table confined to lanes [0, shift) the union CDG is vertex-disjoint,
 /// hence acyclic — the guarantee behind the VL-shift migration chain.
-RoutingResult shift_vls(const Network& net, const RoutingResult& rr,
-                        std::uint32_t shift);
+RoutingResult shift_vls(const RoutingResult& rr, std::uint32_t shift);
 
 }  // namespace nue::resilience

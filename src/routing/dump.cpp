@@ -89,17 +89,9 @@ void write_routing(std::ostream& os, const Network& net,
       const ChannelId c = rr.next(v, static_cast<std::uint32_t>(di));
       if (c == kInvalidChannel) continue;
       os << v << " " << c;
-      switch (rr.vl_mode()) {
-        case VlMode::kPerDest:
-          break;  // one VL per column, written below
-        case VlMode::kPerSource:
-          os << " " << static_cast<int>(
-              rr.vl(v, v, static_cast<std::uint32_t>(di)));
-          break;
-        case VlMode::kPerHop:
-          os << " " << static_cast<int>(
-              rr.vl(v, v, static_cast<std::uint32_t>(di)));
-          break;
+      if (rr.vl_mode() != VlMode::kPerDest) {  // else one VL, written below
+        os << " " << static_cast<int>(
+            rr.vl(v, v, static_cast<std::uint32_t>(di)));
       }
       os << "\n";
     }

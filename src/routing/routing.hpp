@@ -19,6 +19,7 @@
 // the resource vertices, so all three flavours validate uniformly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,21 +41,12 @@ class RoutingResult {
         dest_index_(num_nodes, kNoDest),
         next_(destinations_.size() * num_nodes, kInvalidChannel),
         num_vls_(num_vls),
-        vl_mode_(mode) {
+        vl_mode_(mode),
+        lanes_(mode == VlMode::kPerDest ? destinations_.size() : next_.size(),
+               0) {
     NUE_CHECK(num_vls >= 1);
     for (std::size_t i = 0; i < destinations_.size(); ++i) {
       dest_index_[destinations_[i]] = static_cast<std::uint32_t>(i);
-    }
-    switch (mode) {
-      case VlMode::kPerDest:
-        dest_vl_.assign(destinations_.size(), 0);
-        break;
-      case VlMode::kPerSource:
-        source_vl_.assign(destinations_.size() * num_nodes, 0);
-        break;
-      case VlMode::kPerHop:
-        hop_vl_.assign(destinations_.size() * num_nodes, 0);
-        break;
     }
   }
 
@@ -82,29 +74,66 @@ class RoutingResult {
 
   void set_dest_vl(std::uint32_t dest_idx, std::uint8_t vl) {
     NUE_DCHECK(vl_mode_ == VlMode::kPerDest);
-    dest_vl_[dest_idx] = vl;
+    lanes_[dest_idx] = vl;
   }
   void set_source_vl(NodeId src, std::uint32_t dest_idx, std::uint8_t vl) {
     NUE_DCHECK(vl_mode_ == VlMode::kPerSource);
-    source_vl_[idx(src, dest_idx)] = vl;
+    lanes_[idx(src, dest_idx)] = vl;
   }
   void set_hop_vl(NodeId at, std::uint32_t dest_idx, std::uint8_t vl) {
     NUE_DCHECK(vl_mode_ == VlMode::kPerHop);
-    hop_vl_[idx(at, dest_idx)] = vl;
+    lanes_[idx(at, dest_idx)] = vl;
   }
 
   /// VL used on the channel a packet (injected at `src`, heading to
   /// destination index `dest_idx`) takes when leaving node `at`.
   std::uint8_t vl(NodeId at, NodeId src, std::uint32_t dest_idx) const {
-    switch (vl_mode_) {
-      case VlMode::kPerDest:
-        return dest_vl_[dest_idx];
-      case VlMode::kPerSource:
-        return source_vl_[idx(src, dest_idx)];
-      case VlMode::kPerHop:
-        return hop_vl_[idx(at, dest_idx)];
+    if (vl_mode_ == VlMode::kPerDest) return lanes_[dest_idx];
+    return lanes_[idx(vl_mode_ == VlMode::kPerSource ? src : at, dest_idx)];
+  }
+
+  /// Copy column `from_di` of `from` (a table of the same VL mode) into
+  /// column `di`: every node's lane entries, verbatim, dead nodes
+  /// included. Next pointers are not copied — callers choose which
+  /// nodes' pointers carry over.
+  void copy_lanes(std::uint32_t di, const RoutingResult& from,
+                  std::uint32_t from_di) {
+    NUE_CHECK(from.vl_mode_ == vl_mode_ && from.num_nodes_ == num_nodes_);
+    if (vl_mode_ == VlMode::kPerDest) {
+      lanes_[di] = from.lanes_[from_di];
+      return;
     }
-    return 0;
+    std::copy_n(&from.lanes_[from.idx(0, from_di)], num_nodes_,
+                &lanes_[idx(0, di)]);
+  }
+
+  /// Move every lane up by `shift` and widen the VL budget to match: the
+  /// routes stay, the table now occupies lanes [shift, shift + num_vls).
+  void shift_lanes(std::uint32_t shift) {
+    for (std::uint8_t& vl : lanes_) {
+      vl = static_cast<std::uint8_t>(vl + shift);
+    }
+    num_vls_ += shift;
+  }
+
+  /// True if column `di` routes like column `other_di` of `other` over the
+  /// alive fabric: the same next pointer and lane at every alive node but
+  /// the destination (for kPerDest, the column's one lane). Entries at
+  /// dead nodes are ignored — no packet can be there.
+  bool same_column(const Network& net, std::uint32_t di,
+                   const RoutingResult& other, std::uint32_t other_di) const {
+    NUE_DCHECK(other.vl_mode_ == vl_mode_);
+    const NodeId d = destinations_[di];
+    const bool per_node = vl_mode_ != VlMode::kPerDest;
+    for (NodeId v = 0; v < num_nodes_; ++v) {
+      if (v == d || !net.node_alive(v)) continue;
+      if (next(v, di) != other.next(v, other_di)) return false;
+      if (per_node &&
+          lanes_[idx(v, di)] != other.lanes_[other.idx(v, other_di)]) {
+        return false;
+      }
+    }
+    return per_node || lanes_[di] == other.lanes_[other_di];
   }
 
   // --- path helpers ---------------------------------------------------------
@@ -142,9 +171,9 @@ class RoutingResult {
   std::vector<ChannelId> next_;
   std::uint32_t num_vls_;
   VlMode vl_mode_;
-  std::vector<std::uint8_t> dest_vl_;
-  std::vector<std::uint8_t> source_vl_;
-  std::vector<std::uint8_t> hop_vl_;
+  /// One lane per column (kPerDest) or per (node, column), indexed like
+  /// next_.
+  std::vector<std::uint8_t> lanes_;
 };
 
 /// Thrown by routing engines when they cannot route the given network

@@ -229,9 +229,13 @@ ColumnPass::ColumnPass(const Network& net, const RoutingResult& rr,
       rr_(rr),
       stride_(stride),
       lane_limit_(lane_limit),
-      classes_(rr.vl_mode() == VlMode::kPerSource ? stride : 1),
+      classes_(rr.vl_mode() == VlMode::kPerSource && stride != 0 ? stride
+                                                                  : 1),
       state_(net.num_nodes() * classes_, kUnseen),
-      depth_(net.num_nodes() * classes_, 0) {}
+      depth_(net.num_nodes() * classes_, 0),
+      load_(net.num_nodes() * classes_, 0) {
+  visits_.reserve(state_.size());  // a run settles each slot at most once
+}
 
 void ColumnPass::run(std::uint32_t di, const std::vector<NodeId>& sources) {
   for (const Visit& v : visits_) {
@@ -273,13 +277,13 @@ void ColumnPass::walk(NodeId s) {
       end = End::kDeadChannel;
       break;
     }
-    const std::uint8_t vl = rr_.vl(v, s, di_);
-    if (vl >= rr_.num_vls()) vl_out_of_range_ = true;
     const NodeId u = net_.dst(c);
-    if (u != dest_) {  // the dependency on u's hop, if u takes one
-      const ChannelId c2 = rr_.next(u, di_);
+    if (stride_ != 0) {  // lanes and dependencies, unless routes only
+      const std::uint8_t vl = rr_.vl(v, s, di_);
+      if (vl >= rr_.num_vls()) vl_out_of_range_ = true;
+      const ChannelId c2 = u == dest_ ? kInvalidChannel : rr_.next(u, di_);
       if (c2 != kInvalidChannel && net_.src(c2) == u &&
-          net_.channel_alive(c2)) {
+          net_.channel_alive(c2)) {  // the dependency on u's hop
         edges_.emplace_back(c * stride_ + slot(vl),
                             c2 * stride_ + slot(rr_.vl(u, s, di_)));
       }
@@ -290,6 +294,26 @@ void ColumnPass::walk(NodeId s) {
     const std::size_t i = idx(visits_[j].node, k);
     state_[i] = end;
     depth_[i] = ++depth;
+  }
+}
+
+void ColumnPass::count_loads(const std::vector<NodeId>& sources) {
+  for (const Visit& v : visits_) load_[idx(v.node, lane_class(v.source))] = 0;
+  for (NodeId s : sources) {
+    if (s != dest_ && net_.node_alive(s)) ++load_[idx(s, lane_class(s))];
+  }
+  for (std::size_t end = visits_.size(); end > 0;) {
+    const NodeId s = visits_[end - 1].source;
+    std::size_t begin = end - 1;
+    while (begin > 0 && visits_[begin - 1].source == s) --begin;
+    const std::uint32_t k = lane_class(s);
+    for (std::size_t j = begin; j < end; ++j) {
+      const std::size_t i = idx(visits_[j].node, k);
+      if (state_[i] != End::kReached) continue;
+      const NodeId u = net_.dst(rr_.next(visits_[j].node, di_));
+      if (u != dest_) load_[idx(u, k)] += load_[i];
+    }
+    end = begin;
   }
 }
 

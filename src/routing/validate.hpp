@@ -104,7 +104,9 @@ bool is_acyclic(const std::vector<std::vector<std::uint32_t>>& adj,
 /// ends a walk; the hops before it still count — they are resources an
 /// in-flight packet can hold. Dependency vertices are channel * stride +
 /// slot; a VL at or above `lane_limit` lands on the overflow slot
-/// stride - 1.
+/// stride - 1. A pass built without a stride follows routes only (next
+/// pointers do not depend on the lane): one lane class, no lanes, no
+/// dependencies — all that end(), depth() and the loads need.
 class ColumnPass {
  public:
   enum class End : std::uint8_t { kReached, kHole, kDeadChannel, kLoop };
@@ -114,15 +116,15 @@ class ColumnPass {
   };
   using Edge = std::pair<std::uint32_t, std::uint32_t>;
 
-  ColumnPass(const Network& net, const RoutingResult& rr, std::uint32_t stride,
-             std::uint32_t lane_limit);
+  ColumnPass(const Network& net, const RoutingResult& rr,
+             std::uint32_t stride = 0, std::uint32_t lane_limit = 0);
 
   /// Walk column `di` from every alive source other than its destination,
   /// in order, replacing the previous run's results.
   void run(std::uint32_t di, const std::vector<NodeId>& sources);
 
   std::uint32_t lane_class(NodeId s) const {
-    return rr_.vl_mode() == VlMode::kPerSource ? slot(rr_.vl(s, s, di_)) : 0;
+    return classes_ > 1 ? slot(rr_.vl(s, s, di_)) : 0;
   }
   /// How the route from a source of the last run ends, and (for
   /// kReached) its hop count.
@@ -134,6 +136,17 @@ class ColumnPass {
   const std::vector<Edge>& edges() const { return edges_; }
   /// True if some hop of the last run used a VL >= rr.num_vls().
   bool vl_out_of_range() const { return vl_out_of_range_; }
+
+  /// Count the routes of `sources` (the last run's) leaving each settled
+  /// (node, lane class) on its next channel: its own sources plus its
+  /// children's loads. A walk prefix ends where an older one settled, so
+  /// newest prefix first, each source first, sums children before
+  /// parents in one O(visits) sweep. Defined only when every source
+  /// reached the destination; callers check end() first.
+  void count_loads(const std::vector<NodeId>& sources);
+  std::uint32_t load(const Visit& v) const {
+    return load_[idx(v.node, lane_class(v.source))];
+  }
 
  private:
   // Memo states besides the End values: not yet seen, on the open walk.
@@ -157,6 +170,7 @@ class ColumnPass {
   NodeId dest_ = kInvalidNode;
   std::vector<End> state_;  // per (node, lane class)
   std::vector<std::uint32_t> depth_;
+  std::vector<std::uint32_t> load_;
   std::vector<Visit> visits_;
   std::vector<Edge> edges_;
   bool vl_out_of_range_ = false;

@@ -27,8 +27,9 @@
 //     concurrent record can only make a snapshot *slightly stale*, never
 //     internally torn (count != sum of buckets).
 //
-// Everything is header-only and std-only so the header is usable from
-// util-layer headers (thread_pool.hpp) without new link dependencies.
+// Everything is header-only (std plus the header-only BoundedLog) so the
+// header is usable from util-layer headers (thread_pool.hpp) without new
+// link dependencies.
 #pragma once
 
 #include <algorithm>
@@ -43,6 +44,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/bounded_log.hpp"
 
 namespace nue::telemetry {
 
@@ -387,16 +390,14 @@ struct SpanAggregate {
 /// drops) and is safe to call while other threads keep recording — a
 /// span recorded concurrently just lands in the next collect.
 ///
-/// For resident processes (nue_managerd) the central log itself must be
-/// bounded: set_collected_capacity(n) turns it into a ring whose evicted
-/// spans fold into a persistent per-name aggregate before being dropped,
-/// so aggregate_all() — what the run report and the live `metrics` op
-/// export — stays exact for the life of the process while the retained
-/// spans (recent_spans()) stay fresh for the flight recorder. Marks
-/// returned by collect() are absolute collected-span indices, so
-/// aggregate_since() deltas keep working across evictions as long as the
-/// marked spans haven't been evicted yet (bench marks are consumed
-/// immediately; the daemon doesn't use marks).
+/// Each span is folded into per-name lifetime totals once, when it is
+/// collected, so aggregate_all() — what the run report and the live
+/// `metrics` op export — stays exact whatever the log retains. Resident
+/// processes (nue_managerd) bound the log with set_collected_capacity(n),
+/// keeping the newest n spans for recent_spans() (the flight recorder).
+/// Marks returned by collect() are absolute collected-span indices, so
+/// aggregate_since() deltas work across evictions as long as the marked
+/// spans are still retained (bench marks are consumed immediately).
 class Tracer {
  public:
   static constexpr std::size_t kDefaultBufferCapacity = 1 << 16;
@@ -425,16 +426,17 @@ class Tracer {
   std::size_t collect() {
     std::lock_guard<std::mutex> lk(mu_);
     collect_locked();
-    return evicted_spans_ + collected_.size();
+    return collected_.total();
   }
 
-  /// Sorted copy of everything collected so far (collect() first for
-  /// freshness). Sort key (tid, start, -dur) gives parents before their
-  /// children, which both exporters and the nesting test rely on.
+  /// Sorted copy of the retained spans (collect() first for freshness).
+  /// Sort key (tid, start, -dur) gives parents before their children,
+  /// which both exporters and the nesting test rely on.
   std::vector<Span> snapshot() {
     std::lock_guard<std::mutex> lk(mu_);
     collect_locked();
-    std::vector<Span> out = collected_;
+    std::vector<Span> out(collected_.items().begin(),
+                          collected_.items().end());
     std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
       if (a.tid != b.tid) return a.tid < b.tid;
       if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
@@ -451,13 +453,13 @@ class Tracer {
     std::lock_guard<std::mutex> lk(mu_);
     collect_locked();
     std::map<std::string, SpanAggregate> out;
-    const std::size_t start =
-        mark <= evicted_spans_ ? 0 : mark - evicted_spans_;
-    for (std::size_t i = std::min(start, collected_.size());
-         i < collected_.size(); ++i) {
-      auto& agg = out[collected_[i].name];
+    const auto& items = collected_.items();
+    const std::uint64_t evicted = collected_.evicted();
+    for (std::size_t i = mark <= evicted ? 0 : mark - evicted;
+         i < items.size(); ++i) {
+      auto& agg = out[items[i].name];
       ++agg.count;
-      agg.total_ns += collected_[i].dur_ns;
+      agg.total_ns += items[i].dur_ns;
     }
     return out;
   }
@@ -469,13 +471,7 @@ class Tracer {
   std::map<std::string, SpanAggregate> aggregate_all() {
     std::lock_guard<std::mutex> lk(mu_);
     collect_locked();
-    std::map<std::string, SpanAggregate> out = evicted_by_name_;
-    for (const Span& s : collected_) {
-      auto& agg = out[s.name];
-      ++agg.count;
-      agg.total_ns += s.dur_ns;
-    }
-    return out;
+    return {lifetime_.begin(), lifetime_.end()};
   }
 
   /// The newest `n` retained spans, sorted by start time — the flight
@@ -485,9 +481,10 @@ class Tracer {
     collect_locked();
     // The collected log is drain-ordered, not time-ordered (one segment
     // per thread per collect); take a generous tail, time-sort, trim.
-    const std::size_t take = std::min(collected_.size(), n * 2);
-    std::vector<Span> out(collected_.end() - static_cast<std::ptrdiff_t>(take),
-                          collected_.end());
+    const auto& items = collected_.items();
+    const std::size_t take = std::min(items.size(), n * 2);
+    std::vector<Span> out(items.end() - static_cast<std::ptrdiff_t>(take),
+                          items.end());
     std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
       if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
       return a.dur_ns > b.dur_ns;
@@ -512,56 +509,45 @@ class Tracer {
   }
 
   /// Bound the central collected log (0 = unbounded, the one-shot-tool
-  /// default). Evicted spans fold into the persistent per-name aggregate
-  /// first, so aggregate_all() stays exact. Resident daemons set this so
-  /// an unbounded event stream can't grow the trace without bound.
+  /// default); aggregate_all() is unaffected. Resident daemons set this
+  /// so an unbounded event stream can't grow the trace without bound.
   void set_collected_capacity(std::size_t capacity) {
     std::lock_guard<std::mutex> lk(mu_);
-    collected_capacity_ = capacity;
-    evict_locked();
+    collected_.set_capacity(capacity);
   }
 
-  /// Clear the central log, evicted aggregates, and drop counts (buffers
-  /// stay registered).
+  /// Clear the central log, lifetime totals, and drop counts (buffers
+  /// and the log's capacity stay).
   void reset() {
     std::lock_guard<std::mutex> lk(mu_);
     collect_locked();
     collected_.clear();
-    evicted_by_name_.clear();
-    evicted_spans_ = 0;
+    lifetime_.clear();
     dropped_ = 0;
   }
 
  private:
   void collect_locked() {
-    for (auto& b : buffers_) b->drain_into(collected_, dropped_);
-    evict_locked();
-  }
-
-  void evict_locked() {
-    if (collected_capacity_ == 0 ||
-        collected_.size() <= collected_capacity_) {
-      return;
+    for (auto& b : buffers_) b->drain_into(drained_, dropped_);
+    for (const Span& s : drained_) {
+      auto it = lifetime_.find(s.name);
+      if (it == lifetime_.end()) {
+        it = lifetime_.emplace(s.name, SpanAggregate{}).first;
+      }
+      ++it->second.count;
+      it->second.total_ns += s.dur_ns;
+      collected_.push(s);
     }
-    const std::size_t excess = collected_.size() - collected_capacity_;
-    for (std::size_t i = 0; i < excess; ++i) {
-      auto& agg = evicted_by_name_[collected_[i].name];
-      ++agg.count;
-      agg.total_ns += collected_[i].dur_ns;
-    }
-    collected_.erase(collected_.begin(),
-                     collected_.begin() + static_cast<std::ptrdiff_t>(excess));
-    evicted_spans_ += excess;
+    drained_.clear();
   }
 
   std::mutex mu_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
-  std::vector<Span> collected_;
-  std::map<std::string, SpanAggregate> evicted_by_name_;
-  std::uint64_t evicted_spans_ = 0;  // spans folded out of the bounded log
+  std::vector<Span> drained_;  // collect scratch, empty between calls
+  BoundedLog<Span> collected_;
+  std::map<std::string, SpanAggregate, std::less<>> lifetime_;
   std::uint64_t dropped_ = 0;
   std::size_t buffer_capacity_ = kDefaultBufferCapacity;
-  std::size_t collected_capacity_ = 0;  // 0 = unbounded
 };
 
 /// Reset every telemetry sink (tests and per-scenario fuzz isolation).

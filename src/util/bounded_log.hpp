@@ -1,7 +1,7 @@
 // Append-only log that keeps exactly the newest `capacity` items (0 =
 // unbounded) and counts every push, so totals stay exact after eviction.
-// The one ring behind ReconfigLog and the daemon's EventJournal; not
-// thread-safe on its own.
+// The one ring behind ReconfigLog, the daemon's EventJournal and the
+// tracer's collected-span log; not thread-safe on its own.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +26,12 @@ class BoundedLog {
   void set_capacity(std::size_t n) {
     capacity_ = n;
     evict();
+  }
+
+  /// Drop every item and the push count; the capacity stays.
+  void clear() {
+    items_.clear();
+    total_ = 0;
   }
 
   /// Retained items, oldest first: the newest min(total, capacity).

@@ -23,7 +23,9 @@
 
 #include "graph/network.hpp"
 #include "nue/nue_routing.hpp"
+#include "resilience/resilience.hpp"
 #include "routing/dfsssp.hpp"
+#include "routing/lash.hpp"
 #include "routing/routing.hpp"
 #include "routing/updown.hpp"
 #include "topology/faults.hpp"
@@ -202,6 +204,86 @@ TEST(GoldenTablesFig11, UpDown) {
   const Network net = fig11_fabric();
   const auto h = table_hash(route_updown(net, net.terminals()));
   EXPECT_EQ(h, 0xf3d9c481b2647e2eull);
+}
+
+// The repair path, pinned the same way: Nue's incremental reroute, the
+// resilience manager's ladder (the splice rung, wave blends and lane
+// shifts all copy lanes), and a per-source lane table.
+
+TEST(GoldenRepair, RerouteNueAfterExtraFaults) {
+  for (std::uint32_t threads : {1u, 4u}) {
+    Network net = make_fabric("torus-faulted");
+    NueOptions opt;
+    opt.num_vls = 4;
+    opt.num_threads = threads;
+    const auto old = route_nue(net, net.terminals(), opt);
+    Rng rng(23);
+    ASSERT_EQ(inject_link_failures(net, 3, rng), 3u);
+    RerouteStats rs;
+    const auto h = table_hash(reroute_nue(net, old, opt, &rs));
+    EXPECT_EQ(h, 0xdb28b98334d648f7ull) << "threads=" << threads;
+    EXPECT_GT(rs.dests_rerouted, 0u);
+    EXPECT_GT(rs.dests_kept, 0u);
+  }
+}
+
+struct ReplayPin {
+  std::uint64_t final_hash = 0;
+  std::uint64_t chain_hash = 0;  // every committed epoch, waves included
+  std::string steps;             // each logged record's committed_step
+};
+
+/// Replay a fixed 8-event trace on a golden fabric through the manager.
+ReplayPin replay_pin(const char* fabric, std::uint64_t seed,
+                     resilience::RepairPolicy policy) {
+  const Network net = make_fabric(fabric);
+  const FaultTrace trace = draw_fault_trace(net, fabric, seed, 8, 0.3);
+  resilience::ResilienceManager mgr(net, policy);
+  ReplayPin pin;
+  mgr.set_commit_hook([&pin](const Network&, const RoutingResult*,
+                             const RoutingResult& rr,
+                             const TransitionRecord&) {
+    pin.chain_hash = pin.chain_hash * 1099511628211ull ^ table_hash(rr);
+  });
+  mgr.replay(trace);
+  for (const TransitionRecord& rec : mgr.log().records()) {
+    pin.steps += (pin.steps.empty() ? "" : ",") + rec.committed_step;
+  }
+  pin.final_hash = table_hash(*mgr.table());
+  return pin;
+}
+
+// The splice rung commits, and a wave blend and a lane-shift chain run.
+TEST(GoldenRepair, ManagerReplayUpDown) {
+  resilience::RepairPolicy policy;
+  policy.engine = resilience::Engine::kUpDown;
+  const ReplayPin pin = replay_pin("fattree", 2, policy);
+  EXPECT_EQ(pin.final_hash, 0x2ba1c21273695753ull);
+  EXPECT_EQ(pin.chain_hash, 0xeeb1b9389b2285aaull);
+  EXPECT_EQ(pin.steps,
+            "full-recompute,incremental,incremental,wave,incremental,noop,wave,"
+            "incremental,noop,noop,incremental");
+}
+
+// Per-source lanes through wave blends and a lane-shift chain.
+TEST(GoldenRepair, ManagerReplayDfsssp) {
+  resilience::RepairPolicy policy;
+  policy.engine = resilience::Engine::kDfsssp;
+  policy.vls = 8;
+  policy.max_vls = 16;
+  const ReplayPin pin = replay_pin("torus", 1, policy);
+  EXPECT_EQ(pin.final_hash, 0xff800127b70fa43cull);
+  EXPECT_EQ(pin.chain_hash, 0x6f168d9144db5cc2ull);
+  EXPECT_EQ(pin.steps,
+            "full-recompute,wave,full-recompute,noop,wave,full-recompute,noop,"
+            "wave,full-recompute,wave,full-recompute,noop,noop");
+}
+
+TEST(GoldenRepair, LashPerSourceLanes) {
+  const Network net = make_fabric("torus");
+  const auto rr = route_lash(net, net.terminals());
+  ASSERT_EQ(rr.vl_mode(), VlMode::kPerSource);
+  EXPECT_EQ(table_hash(rr), 0x487def4f515aa79aull);
 }
 
 }  // namespace

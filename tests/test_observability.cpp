@@ -282,6 +282,35 @@ TEST_F(LivePlane, TracerBoundedLogKeepsLifetimeAggregates) {
   EXPECT_LE(tracer.snapshot().size(), 8u);
   EXPECT_EQ(tracer.recent_spans(4).size(), 4u);
   EXPECT_EQ(tracer.recent_spans(1000).size(), 8u);
+
+  // Several collect rounds, each evicting part of the previous one: the
+  // lifetime totals count every span once, and a delta from a mark sees
+  // exactly the spans collected since, while they are still retained.
+  std::size_t a_total = 0, b_total = 50;
+  for (int round = 1; round <= 4; ++round) {
+    const std::size_t mark = tracer.collect();
+    for (int i = 0; i < round; ++i) {
+      TELEM_SPAN("liveplane.a");
+    }
+    for (int i = 0; i < 3; ++i) {
+      TELEM_SPAN("liveplane.span");
+    }
+    a_total += static_cast<std::size_t>(round);
+    b_total += 3;
+    const auto since = tracer.aggregate_since(mark);
+    EXPECT_EQ(since.at("liveplane.a").count,
+              static_cast<std::uint64_t>(round));
+    EXPECT_EQ(since.at("liveplane.span").count, 3u);
+    const auto all = tracer.aggregate_all();
+    EXPECT_EQ(all.at("liveplane.a").count, a_total) << "round " << round;
+    EXPECT_EQ(all.at("liveplane.span").count, b_total) << "round " << round;
+    EXPECT_EQ(tracer.collect(), 50 + a_total + 3 * round);
+    EXPECT_EQ(tracer.snapshot().size(), 8u);
+  }
+  // A mark older than the retained window counts only what is retained.
+  std::uint64_t retained = 0;
+  for (const auto& [name, a] : tracer.aggregate_since(0)) retained += a.count;
+  EXPECT_EQ(retained, 8u);
 }
 
 // The tentpole concurrency contract, meaningful under TSan (tier-1 runs

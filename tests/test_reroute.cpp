@@ -118,5 +118,24 @@ TEST(Reroute, MergedCdgIsAcyclicAcrossKeptAndNewColumns) {
   EXPECT_GT(rs.dests_rerouted + rs.dests_demoted, 0u);
 }
 
+TEST(Reroute, ReportsTheOmegaCountersOfTheLayersItRoutes) {
+  // Every rerouted column runs the ω checks of Nue's CDG search, so a
+  // repair that recomputes columns has nonzero counters, like route_nue.
+  TorusSpec spec{{4, 4, 3}, 2, 1};
+  Network net = make_torus(spec);
+  NueOptions opt;
+  opt.num_vls = 4;
+  const auto old = route_nue(net, net.terminals(), opt);
+  Rng rng(3);
+  ASSERT_EQ(inject_link_failures(net, 3, rng), 3u);
+  RerouteStats rs;
+  NueStats ns;
+  reroute_nue(net, old, opt, &rs, &ns);
+  ASSERT_GT(rs.dests_rerouted, 0u);
+  EXPECT_GT(ns.fast_accepts, 0u);
+  EXPECT_GT(ns.cycle_searches, 0u);
+  EXPECT_GT(ns.cycle_search_steps, 0u);
+}
+
 }  // namespace
 }  // namespace nue

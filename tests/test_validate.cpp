@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "routing/dfsssp.hpp"
 #include "routing/lash.hpp"
 #include "routing/routing.hpp"
 #include "routing/torus_qos.hpp"
@@ -1085,6 +1086,110 @@ TEST(ValidateColumnPass, KahnMatchesDfsOnRandomGraphs) {
     for (std::uint32_t v = 0; v < n; ++v) {
       for (std::uint32_t w : adj[v]) EXPECT_LT(pos[v], pos[w]);
     }
+  }
+}
+
+// --- RoutingResult column operations -----------------------------------------
+
+/// A ring table in `mode` whose lanes differ per (node, column): every
+/// lane entry is distinguishable, so a copy or compare that reads the
+/// wrong slot shows.
+RoutingResult lane_table(const Network& net, VlMode mode, std::uint8_t base) {
+  const RoutingResult hops = route_minhop(net, net.terminals());
+  RoutingResult rr(net.num_nodes(), hops.destinations(), 8, mode);
+  for (std::uint32_t di = 0; di < hops.destinations().size(); ++di) {
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      rr.set_next(v, di, hops.next(v, di));
+      const auto vl = static_cast<std::uint8_t>(base + (v + 3 * di) % 5);
+      if (mode == VlMode::kPerSource) rr.set_source_vl(v, di, vl);
+      if (mode == VlMode::kPerHop) rr.set_hop_vl(v, di, vl);
+    }
+    if (mode == VlMode::kPerDest) {
+      rr.set_dest_vl(di, static_cast<std::uint8_t>(base + di % 5));
+    }
+  }
+  return rr;
+}
+
+constexpr VlMode kAllModes[] = {VlMode::kPerDest, VlMode::kPerSource,
+                                VlMode::kPerHop};
+
+TEST(RoutingColumns, CopyLanesCopiesEveryNodeVerbatim) {
+  Network net = test::make_ring(4, 1);
+  net.remove_node(2);  // a dead switch keeps its lane entries
+  for (const VlMode mode : kAllModes) {
+    const RoutingResult from = lane_table(net, mode, 1);
+    RoutingResult to(net.num_nodes(), from.destinations(), 8, mode);
+    to.copy_lanes(0, from, 3);
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      EXPECT_EQ(to.vl(v, v, 0), from.vl(v, v, 3)) << "node " << v;
+      EXPECT_EQ(to.next(v, 0), kInvalidChannel) << "next pointers stay";
+    }
+    EXPECT_EQ(to.vl(0, 0, 1), 0) << "other columns stay";
+  }
+  const RoutingResult per_dest = lane_table(net, VlMode::kPerDest, 1);
+  RoutingResult per_hop(net.num_nodes(), per_dest.destinations(), 8,
+                        VlMode::kPerHop);
+  EXPECT_THROW(per_hop.copy_lanes(0, per_dest, 0), std::logic_error);
+}
+
+TEST(RoutingColumns, ShiftLanesMovesEveryLaneAndWidensTheBudget) {
+  const Network net = test::make_ring(4, 1);
+  for (const VlMode mode : kAllModes) {
+    const RoutingResult rr = lane_table(net, mode, 1);
+    RoutingResult shifted = rr;
+    shifted.shift_lanes(8);
+    EXPECT_EQ(shifted.num_vls(), 16u);
+    EXPECT_EQ(shifted.vl_mode(), mode);
+    for (std::uint32_t di = 0; di < rr.destinations().size(); ++di) {
+      for (NodeId v = 0; v < net.num_nodes(); ++v) {
+        EXPECT_EQ(shifted.vl(v, v, di), rr.vl(v, v, di) + 8);
+        EXPECT_EQ(shifted.next(v, di), rr.next(v, di));
+      }
+    }
+  }
+}
+
+TEST(RoutingColumns, SameColumnComparesAliveNodesOtherThanTheDestination) {
+  Network net = test::make_ring(4, 1);
+  const NodeId dead = 4;  // the terminal of switch 0
+  net.remove_node(dead);
+  for (const VlMode mode : kAllModes) {
+    const RoutingResult a = lane_table(net, mode, 1);
+    const std::uint32_t di = 1;
+    const NodeId d = a.destinations()[di];
+    ASSERT_NE(d, dead);
+    const auto changed = [&](const std::function<void(RoutingResult&)>& f) {
+      RoutingResult b = a;
+      f(b);
+      return !a.same_column(net, di, b, di);
+    };
+    const auto set_lane = [mode](RoutingResult& rr, NodeId v,
+                                 std::uint32_t col, std::uint8_t vl) {
+      if (mode == VlMode::kPerDest) rr.set_dest_vl(col, vl);
+      if (mode == VlMode::kPerSource) rr.set_source_vl(v, col, vl);
+      if (mode == VlMode::kPerHop) rr.set_hop_vl(v, col, vl);
+    };
+    EXPECT_FALSE(changed([](RoutingResult&) {}));
+    // Next pointers at alive nodes count; at a dead node and at d not.
+    EXPECT_TRUE(changed([&](RoutingResult& b) {
+      b.set_next(1, di, kInvalidChannel);
+    }));
+    EXPECT_FALSE(changed([&](RoutingResult& b) {
+      b.set_next(dead, di, 0);
+    }));
+    EXPECT_FALSE(changed([&](RoutingResult& b) { b.set_next(d, di, 0); }));
+    // Another column's change is not this column's.
+    EXPECT_FALSE(changed([&](RoutingResult& b) {
+      b.set_next(1, di + 1, kInvalidChannel);
+      set_lane(b, 1, di + 1, 7);
+    }));
+    // Lanes: one per column for kPerDest; otherwise per alive node but d.
+    EXPECT_TRUE(changed([&](RoutingResult& b) { set_lane(b, 1, di, 7); }));
+    EXPECT_EQ(changed([&](RoutingResult& b) { set_lane(b, dead, di, 7); }),
+              mode == VlMode::kPerDest);
+    EXPECT_EQ(changed([&](RoutingResult& b) { set_lane(b, d, di, 7); }),
+              mode == VlMode::kPerDest);
   }
 }
 

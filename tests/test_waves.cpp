@@ -178,6 +178,34 @@ TEST(WaveScheduler, BlendWithEverythingMigratedIsTheNewTable) {
   EXPECT_TRUE(tables_equal(net, keep, old_rr));
 }
 
+// Intermediate tables copy every entry verbatim, dead nodes included:
+// a route query that races the chain still walks the old column through
+// a switch that just failed. (Repairs copy alive nodes only.)
+TEST(WaveScheduler, BlendAndShiftKeepEntriesAtAJustFailedSwitch) {
+  Network net = make_ring(5);
+  const RoutingResult old_rr = ring_dateline_routing(net, 0);
+  const RoutingResult new_rr = ring_dateline_routing(net, 2);
+  const NodeId failed = 1;
+  net.remove_node(failed);
+  const std::vector<std::uint8_t> none(new_rr.destinations().size(), 0);
+  const std::vector<std::uint8_t> all(new_rr.destinations().size(), 1);
+  const RoutingResult keep =
+      resilience::blend_tables(net, old_rr, new_rr, none);
+  const RoutingResult take =
+      resilience::blend_tables(net, old_rr, new_rr, all);
+  const RoutingResult shifted = resilience::shift_vls(old_rr, 2);
+  for (std::uint32_t di = 0; di < new_rr.destinations().size(); ++di) {
+    const std::uint32_t odi = old_rr.dest_index(new_rr.destinations()[di]);
+    ASSERT_NE(old_rr.next(failed, odi), kInvalidChannel);
+    EXPECT_EQ(keep.next(failed, di), old_rr.next(failed, odi));
+    EXPECT_EQ(keep.vl(failed, failed, di), old_rr.vl(failed, failed, odi));
+    EXPECT_EQ(take.next(failed, di), new_rr.next(failed, di));
+    EXPECT_EQ(shifted.next(failed, odi), old_rr.next(failed, odi));
+    EXPECT_EQ(shifted.vl(failed, failed, odi),
+              old_rr.vl(failed, failed, odi) + 2);
+  }
+}
+
 TEST(WaveScheduler, ReportsBudgetExhaustionDistinctly) {
   Network net = make_ring(6);
   const RoutingResult old_rr = ring_dateline_routing(net, 0);
@@ -231,7 +259,7 @@ TEST(WaveScheduler, VlShiftMakesAnyPairCompatible) {
   const RoutingResult new_rr = ring_dateline_routing(net, 3);
   ASSERT_FALSE(union_cdg_acyclic(net, old_rr, new_rr));
   const RoutingResult shifted =
-      resilience::shift_vls(net, new_rr, old_rr.num_vls());
+      resilience::shift_vls(new_rr, old_rr.num_vls());
   EXPECT_EQ(shifted.num_vls(), old_rr.num_vls() + new_rr.num_vls());
   EXPECT_TRUE(validate_routing(net, shifted).ok());
   EXPECT_TRUE(union_cdg_acyclic(net, old_rr, shifted));
