@@ -102,26 +102,13 @@ class CompleteCdg {
     }
   }
 
-  /// Unconditionally mark edge (c1 -> c2) used and merge components.
-  /// Caller must know this cannot close a cycle (escape-path setup).
-  /// Permanent: survives every step purge.
-  void force_edge_used(ChannelId c1, ChannelId c2) {
-    const EdgeId e = idx_->edge_id(c1, c2);
-    NUE_CHECK_MSG(e != CdgIndex::kNoEdge, "not a complete-CDG edge");
-    mark_channel_used(c1);
-    mark_channel_used(c2);
-    if (estate_[e] == 1) return;
-    NUE_CHECK(estate_[e] == 0);
-    const bool ok = topo_insert(c1, c2);
-    NUE_CHECK_MSG(ok, "escape paths must stay acyclic");
-    set_edge_used(e, c1, c2, /*permanent=*/true);
-  }
-
-  /// Checked variant of force_edge_used(): marks the edge permanently used
-  /// unless it would close a cycle with the dependencies already present
-  /// (incremental rerouting pre-marks the preserved columns' dependencies,
-  /// and a fresh escape tree is not guaranteed to be compatible with
-  /// them). Returns false and changes nothing on a cycle.
+  /// Mark edge (c1 -> c2) used and merge components, permanently (it
+  /// survives every step purge), unless it would close a cycle with the
+  /// dependencies already present: escape-path setup on a fresh CDG never
+  /// does, but incremental rerouting pre-marks the preserved columns'
+  /// dependencies, and a fresh escape tree is not guaranteed to be
+  /// compatible with them. Returns false on a cycle, leaving the edge
+  /// unused.
   bool try_force_edge_used(ChannelId c1, ChannelId c2) {
     const EdgeId e = idx_->edge_id(c1, c2);
     NUE_CHECK_MSG(e != CdgIndex::kNoEdge, "not a complete-CDG edge");

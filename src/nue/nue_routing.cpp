@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -94,13 +95,11 @@ class LayerRouter {
     weights_ = scratch_.alloc<double>(net.num_channels());
     escape_next_ = scratch_.alloc<ChannelId>(n);
     escape_seen_ = scratch_.alloc<std::uint8_t>(n);
-    intact_ = scratch_.alloc<std::uint8_t>(n);
     keep_flags_ = scratch_.alloc_filled<std::uint8_t>(idx.num_edges(), 0);
     alt_data_ = scratch_.alloc<ChannelId>(n * kAltStackLimit);
     alt_cnt_ = scratch_.alloc<std::uint32_t>(n);
     alt_gen_ = scratch_.alloc_filled<std::uint32_t>(n, 0);
     bfs_ = FixedVec<NodeId>(scratch_, n);
-    chain_ = FixedVec<NodeId>(scratch_, n + 1);
     islands_ = FixedVec<NodeId>(scratch_, n);
     // Escape spanning tree as a CSR over the arena; per-node entry order
     // matches the old per-node vectors (same ascending-v fill), which
@@ -127,8 +126,12 @@ class LayerRouter {
   }
 
   /// Pre-mark the escape paths (Definition 7) toward every destination of
-  /// this layer as `used` with one shared subgraph id.
-  void init_escape_paths(const std::vector<NodeId>& dests) {
+  /// this layer as `used` with one shared subgraph id. Returns false when
+  /// the spanning tree's dependencies would close a cycle with ones
+  /// already present (incremental rerouting pre-seeds the old table's):
+  /// the caller must then discard this router. On a fresh router the tree
+  /// alone is acyclic, so the setup always succeeds.
+  bool init_escape_paths(const std::vector<NodeId>& dests) {
     std::fill(weights_, weights_ + net_.num_channels(),
               1.0 + kBalanceDamping);
     std::vector<ChannelId> escape_channels;
@@ -138,31 +141,6 @@ class LayerRouter {
         const ChannelId tn = escape_next_[v];  // traffic channel v -> parent
         if (tn == kInvalidChannel) continue;
         const ChannelId mark = reverse(tn);  // search orientation
-        if (!cdg_.channel_used(mark)) escape_channels.push_back(mark);
-        cdg_.mark_channel_used(mark);
-        const NodeId p = net_.dst(tn);
-        if (p != d) {
-          cdg_.force_edge_used(reverse(escape_next_[p]), mark);
-        }
-      }
-    }
-    cdg_.unify_components(escape_channels);
-  }
-
-  /// Escape-path setup tolerant of pre-seeded dependencies (incremental
-  /// rerouting): returns false when the spanning tree's dependencies
-  /// conflict with them — the caller must then discard this router and
-  /// recompute the layer from scratch.
-  bool init_escape_paths_checked(const std::vector<NodeId>& dests) {
-    std::fill(weights_, weights_ + net_.num_channels(),
-              1.0 + kBalanceDamping);
-    std::vector<ChannelId> escape_channels;
-    for (NodeId d : dests) {
-      compute_escape_next(d);
-      for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-        const ChannelId tn = escape_next_[v];
-        if (tn == kInvalidChannel) continue;
-        const ChannelId mark = reverse(tn);
         if (!cdg_.channel_used(mark)) escape_channels.push_back(mark);
         cdg_.mark_channel_used(mark);
         const NodeId p = net_.dst(tn);
@@ -226,22 +204,25 @@ class LayerRouter {
   }
 
   /// Partial-column repair (incremental rerouting): a failure orphans only
-  /// the nodes whose old pointer chain runs into the dead element — often
-  /// a small neighborhood of the failure. Settle the intact region on its
-  /// old channels (distance 0, so no relaxation displaces it) and run the
-  /// modified Dijkstra only over the orphans attaching at the frontier.
-  /// Requires this column's stale pre-marking to have skipped nothing: the
-  /// intact entries' dependencies must already be in the CDG for the
-  /// merged column's extraction to hold. Impasses fall back to the escape
-  /// paths exactly like route_destination (the escape tree covers every
-  /// node, orphaned or not).
+  /// the nodes whose old route runs into the dead element — often a small
+  /// neighborhood of the failure. `old_col` is a route-only pass over the
+  /// old table, run on column old_di: a node is intact iff its old route
+  /// still reaches d (a dead next node kills the channel into it, so the
+  /// pass ends such a route on a dead channel). Settle the intact region
+  /// on its old channels (distance 0, so no relaxation displaces it) and
+  /// run the modified Dijkstra only over the orphans attaching at the
+  /// frontier. Requires this column's stale pre-marking to have skipped
+  /// nothing: the intact entries' dependencies must already be in the CDG
+  /// for the merged column's extraction to hold. Impasses fall back to the
+  /// escape paths exactly like route_destination (the escape tree covers
+  /// every node, orphaned or not).
   bool route_destination_partial(NodeId d, RoutingResult& rr,
                                  std::uint32_t di, const RoutingResult& old,
-                                 std::uint32_t old_di) {
-    classify_intact(d, old, old_di);
+                                 std::uint32_t old_di,
+                                 const ColumnPass& old_col) {
     reset_scratch();
     cdg_.begin_step();
-    seed_partial(d, old, old_di);
+    seed_partial(d, old, old_di, old_col);
     return finish_route(d, rr, di);
   }
 
@@ -287,43 +268,20 @@ class LayerRouter {
     return true;
   }
 
-  /// intact_[v] = 1 when v's old chain still reaches d over alive
-  /// elements, 2 when it runs into the dead element (orphaned). Memoized
-  /// pointer-chase: every node is classified once, O(nodes) total.
-  void classify_intact(NodeId d, const RoutingResult& old,
-                       std::uint32_t old_di) {
-    std::fill(intact_, intact_ + net_.num_nodes(), 0);
-    intact_[d] = 1;
-    for (NodeId s = 0; s < net_.num_nodes(); ++s) {
-      if (s == d || !net_.node_alive(s) || intact_[s] != 0) continue;
-      chain_.clear();
-      NodeId at = s;
-      std::uint8_t verdict = 2;  // orphan unless the chase lands intact
-      while (intact_[at] == 0 && chain_.size() <= net_.num_nodes()) {
-        chain_.push_back(at);
-        const ChannelId c = old.next(at, old_di);
-        if (c == kInvalidChannel || !net_.channel_alive(c) ||
-            !net_.node_alive(net_.dst(c))) {
-          break;
-        }
-        at = net_.dst(c);
-      }
-      if (intact_[at] != 0) verdict = intact_[at];
-      for (NodeId v : chain_) intact_[v] = verdict;
-    }
-  }
-
   /// Multi-source seeding for the partial repair: the intact region is
   /// settled at distance 0 on its old channels, and only the frontier —
-  /// intact nodes (or the destination itself) with an orphaned alive
-  /// neighbor — enters the heap, since any other relaxation could only
-  /// land inside the settled region and be rejected on distance.
-  void seed_partial(NodeId d, const RoutingResult& old,
-                    std::uint32_t old_di) {
+  /// intact nodes (or the destination itself) with an orphaned neighbor —
+  /// enters the heap, since any other relaxation could only land inside
+  /// the settled region and be rejected on distance.
+  void seed_partial(NodeId d, const RoutingResult& old, std::uint32_t old_di,
+                    const ColumnPass& old_col) {
+    const auto orphan = [&](NodeId v) {
+      return v != d && old_col.end(v) != ColumnPass::End::kReached;
+    };
     dest_ = d;
     node_dist_.set(d, 0.0);
     for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-      if (v == d || !net_.node_alive(v) || intact_[v] != 1) continue;
+      if (v == d || !net_.node_alive(v) || orphan(v)) continue;
       const ChannelId c = reverse(old.next(v, old_di));  // search orientation
       // The stale pre-marks covered channels with a downstream pair; leaf
       // channels next to d still need their ω entry for the relaxations
@@ -333,41 +291,15 @@ class LayerRouter {
       node_dist_.set(v, 0.0);
     }
     for (NodeId v = 0; v < net_.num_nodes(); ++v) {
-      if (!net_.node_alive(v) || (v != d && intact_[v] != 1)) continue;
-      bool frontier = false;
-      for (ChannelId out : net_.out(v)) {
-        const NodeId w = net_.dst(out);
-        if (net_.channel_alive(out) && net_.node_alive(w) &&
-            intact_[w] == 2) {
-          frontier = true;
-          break;
-        }
+      if (!net_.node_alive(v) || orphan(v)) continue;
+      const auto out = net_.out(v);
+      if (std::none_of(out.begin(), out.end(),
+                       [&](ChannelId c) { return orphan(net_.dst(c)); })) {
+        continue;  // not on the frontier
       }
-      if (!frontier) continue;
       if (v == d) {
-        // The destination's own channels reach orphans directly: seed them
-        // like seed_search's fake-channel expansion, restricted to orphan
-        // heads (intact heads are already settled).
-        for (ChannelId c : net_.out(d)) {
-          const NodeId w = net_.dst(c);
-          if (!net_.channel_alive(c) || !net_.node_alive(w) ||
-              intact_[w] != 2) {
-            continue;
-          }
-          const double nd = weights_[c];
-          if (nd < node_dist_[w]) {
-            if (used_channel_[w] != kInvalidChannel) {
-              push_alt(w, used_channel_[w]);
-            }
-            cdg_.mark_channel_used(c);
-            used_channel_.set(w, c);
-            node_dist_.set(w, nd);
-            chan_dist_.set(c, nd);
-            heap_.insert_or_decrease(c, nd);
-          } else {
-            push_alt(w, c);
-          }
-        }
+        // Intact heads are settled already: seed d's orphan heads only.
+        seed_out_channels(d, orphan);
       } else {
         const ChannelId c = used_channel_[v];
         chan_dist_.set(c, 0.0);
@@ -448,23 +380,30 @@ class LayerRouter {
       node_dist_.set(net_.dst(c0), 0.0);
       heap_.insert(c0, 0.0);
     } else {
-      // Switch source: the paper's fake channel (∅, n_0) feeding every
-      // outgoing channel; equivalent to seeding all of them directly.
-      for (ChannelId c : net_.out(d)) {
-        const NodeId w = net_.dst(c);
-        const double nd = weights_[c];
-        if (nd < node_dist_[w]) {
-          if (used_channel_[w] != kInvalidChannel) {
-            push_alt(w, used_channel_[w]);
-          }
-          cdg_.mark_channel_used(c);
-          used_channel_.set(w, c);
-          node_dist_.set(w, nd);
-          chan_dist_.set(c, nd);
-          heap_.insert_or_decrease(c, nd);
-        } else {
-          push_alt(w, c);  // losing parallel channel; backtracking option
+      seed_out_channels(d, [](NodeId) { return true; });
+    }
+  }
+
+  /// A switch source: the paper's fake channel (∅, n_0) feeding every
+  /// outgoing channel of d, here those whose head passes `take`; seeding
+  /// each at its own weight is equivalent.
+  template <typename Take>
+  void seed_out_channels(NodeId d, const Take& take) {
+    for (ChannelId c : net_.out(d)) {
+      const NodeId w = net_.dst(c);
+      if (!take(w)) continue;
+      const double nd = weights_[c];
+      if (nd < node_dist_[w]) {
+        if (used_channel_[w] != kInvalidChannel) {
+          push_alt(w, used_channel_[w]);
         }
+        cdg_.mark_channel_used(c);
+        used_channel_.set(w, c);
+        node_dist_.set(w, nd);
+        chan_dist_.set(c, nd);
+        heap_.insert_or_decrease(c, nd);
+      } else {
+        push_alt(w, c);  // losing parallel channel; backtracking option
       }
     }
   }
@@ -677,9 +616,7 @@ class LayerRouter {
   std::uint32_t* alt_gen_ = nullptr;
   ChannelId* escape_next_ = nullptr;
   std::uint8_t* escape_seen_ = nullptr;
-  std::uint8_t* intact_ = nullptr;  // partial repair: 1 intact, 2 orphan
   std::uint8_t* keep_flags_ = nullptr;
-  FixedVec<NodeId> chain_;  // partial repair: pointer-chase stack
   FixedVec<NodeId> bfs_;
   FixedVec<NodeId> islands_;
 
@@ -862,6 +799,8 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
   // and reroute draws no random numbers at all. Per-layer stats slots are
   // merged in layer order below.
   const CdgIndex idx(net);
+  std::vector<NodeId> all_nodes(net.num_nodes());
+  std::iota(all_nodes.begin(), all_nodes.end(), NodeId{0});
   std::vector<NueStats> layer_stats(old.num_vls());
   std::vector<RerouteStats> layer_rs(old.num_vls());
   parallel_for(
@@ -998,7 +937,7 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
             router->premark_bulk(old_deps);
             col_skips.clear();
             for (NodeId d : to_route) col_skips[d] = 0;
-            const bool tree_ok = router->init_escape_paths_checked(to_route);
+            const bool tree_ok = router->init_escape_paths(to_route);
             if (!tree_ok) {
               ++root_attempt;
               if (root_attempt >= candidates.size()) {
@@ -1010,10 +949,12 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
             break;
           }
           // Escape-first fallback (Lemma 3's delivery guarantee outranks
-          // hitlessness): unconditional escape tree, then checked kept
-          // pre-marks with demotion to a fixpoint, then best-effort stale
-          // marks priced by the transition gate downstream.
-          router->init_escape_paths(to_route);
+          // hitlessness): the escape tree first, on the fresh CDG where it
+          // always fits, then checked kept pre-marks with demotion to a
+          // fixpoint, then best-effort stale marks priced by the
+          // transition gate downstream.
+          const bool tree_ok = router->init_escape_paths(to_route);
+          NUE_CHECK_MSG(tree_ok, "escape paths must stay acyclic");
           bool demoted = false;
           std::vector<NodeId> still_kept;
           for (NodeId d : keep_cols) {
@@ -1043,6 +984,9 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
         ls.roots.push_back(root);
         for (NodeId d : keep_cols) keep_column(d, layer);
         lrs.dests_kept += keep_cols.size();
+        // The partial repairs' route-only pass over the old table, built
+        // on this layer's first one.
+        std::optional<ColumnPass> old_col;
         for (NodeId d : to_route) {
           const std::uint32_t di = rr.dest_index(d);
           rr.set_dest_vl(di, static_cast<std::uint8_t>(layer));
@@ -1054,8 +998,11 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
           // merged extraction could not account for them.
           const auto it = col_skips.find(d);
           if (it != col_skips.end() && it->second == 0) {
-            router->route_destination_partial(d, rr, di, old,
-                                              old.dest_index(d));
+            const std::uint32_t old_di = old.dest_index(d);
+            if (!old_col) old_col.emplace(net, old);
+            old_col->run(old_di, all_nodes);
+            router->route_destination_partial(d, rr, di, old, old_di,
+                                              *old_col);
             ++lrs.dests_patched;
           } else {
             router->route_destination(d, rr, di);
@@ -1137,7 +1084,8 @@ RoutingResult route_nue(const Network& net, const std::vector<NodeId>& dests,
         LayerRouter router(net, idx, root, opt, ls, arena);
         {
           TELEM_SPAN("nue.escape_paths");
-          router.init_escape_paths(subset);
+          const bool tree_ok = router.init_escape_paths(subset);
+          NUE_CHECK_MSG(tree_ok, "escape paths must stay acyclic");
         }
         for (NodeId d : subset) {
           TELEM_SPAN("nue.dest");

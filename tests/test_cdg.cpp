@@ -274,7 +274,7 @@ TEST(CompleteCdgSteps, ForcedEscapeEdgesSurviveEveryPurge) {
   CdgIndex idx(net);
   CompleteCdg cdg(net, idx);
   const ChannelId a = chan2(net, 0, 1), b = chan2(net, 1, 2);
-  cdg.force_edge_used(a, b);
+  EXPECT_TRUE(cdg.try_force_edge_used(a, b));
   std::vector<std::uint8_t> keep(idx.num_edges(), 0);
   for (int step = 0; step < 3; ++step) {
     cdg.begin_step();
