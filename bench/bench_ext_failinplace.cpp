@@ -5,7 +5,6 @@
 //
 //   --dims AxBxC (default 4x4x3)  --events N (default 10)  --seed S
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "nue/nue_routing.hpp"
@@ -13,7 +12,7 @@
 #include "routing/updown.hpp"
 #include "routing/validate.hpp"
 #include "topology/faults.hpp"
-#include "topology/torus.hpp"
+#include "topology/generate.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -31,16 +30,9 @@ int main(int argc, char** argv) {
   const std::string csv = flags.get_string("csv", "", "CSV output path");
   if (!flags.finish()) return 1;
 
-  TorusSpec spec;
-  {
-    std::istringstream is(dims_str);
-    std::string d;
-    while (std::getline(is, d, 'x')) {
-      spec.dims.push_back(static_cast<std::uint32_t>(std::stoul(d)));
-    }
-  }
-  spec.terminals_per_switch = 2;
-  Network net = make_torus(spec);
+  GeneratedTopology topo = generate_topology("torus:" + dims_str + ":2");
+  const TorusSpec spec = *topo.torus;
+  Network net = std::move(topo.net);
   Rng rng(seed);
 
   NueOptions opt;

@@ -109,7 +109,7 @@ python3 scripts/validate_json.py scripts/schemas/run_report.schema.json \
 cmake --build build-asan -j --target nue_managerd nue_routectl nue_tests
 ASAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/nue_tests \
-  --gtest_filter='NetworkChurn.*:ResilienceChurn.*:ReconfigLogRetention.*:Daemon.*:WaveScheduler.*:LivePlane.*:JournalGolden.*:CounterParity.*:EventSim.*:SimParity.*:Scenario.*:ValidateColumnPass.*:RoutingColumns.*:QualityColumnPass.*:GoldenRepair.*'
+  --gtest_filter='NetworkChurn.*:ResilienceChurn.*:ReconfigLogRetention.*:Daemon.*:WaveScheduler.*:LivePlane.*:JournalGolden.*:CounterParity.*:EventSim.*:SimParity.*:Scenario.*:ValidateColumnPass.*:RoutingColumns.*:QualityColumnPass.*:GoldenRepair.*:GenerateSpec.*:ManagerServiceDispatch.*'
 MANAGERD_SOCK="build-asan/managerd.sock"
 rm -rf build-asan/flightrec build-asan/managerd.journal.jsonl
 ASAN_OPTIONS="halt_on_error=1" \

@@ -34,8 +34,7 @@
 #include "nue/engines.hpp"
 #include "routing/routing.hpp"
 #include "routing/validate.hpp"
-#include "topology/torus.hpp"
-#include "topology/trees.hpp"
+#include "topology/generate.hpp"
 
 namespace nue::fuzz {
 
@@ -73,10 +72,9 @@ struct Removal {
   std::uint32_t id = 0;  // NodeId for switches, even ChannelId for links
 };
 
-struct ScenarioBuild {
-  Network net;
-  std::optional<TorusSpec> torus;      // set for torus generators
-  std::optional<FatTreeSpec> fattree;  // set for the fattree generator
+/// The generated fabric (net plus the torus/fattree geometry, see
+/// generate_topology) after faults and removals.
+struct ScenarioBuild : GeneratedTopology {
   std::size_t link_faults = 0;         // achieved (can be < requested)
   std::size_t switch_faults = 0;       // achieved (can be < requested)
   bool degraded = false;               // any fault or removal applied

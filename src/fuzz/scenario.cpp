@@ -1,4 +1,4 @@
-// Scenario construction: generator-spec parsing, deterministic fault
+// Scenario construction: fabric generation, deterministic fault
 // injection, engine dispatch, deliberate mutations, and batch drawing.
 #include "fuzz/fuzz.hpp"
 
@@ -7,7 +7,6 @@
 
 #include "graph/algorithms.hpp"
 #include "topology/faults.hpp"
-#include "topology/misc_topologies.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -20,114 +19,6 @@ namespace {
 // from independent streams of the one scenario seed.
 constexpr std::uint64_t kFaultSalt = 0xFA017C0DEULL;
 constexpr std::uint64_t kMutationSalt = 0x5CA1AB1EULL;
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string tok;
-  while (std::getline(ss, tok, sep)) out.push_back(tok);
-  return out;
-}
-
-std::uint32_t parse_u32(const std::string& s, const char* what) {
-  NUE_CHECK_MSG(!s.empty(), "generator spec: empty " << what);
-  for (char ch : s) {
-    NUE_CHECK_MSG(ch >= '0' && ch <= '9',
-                  "generator spec: bad " << what << " '" << s << "'");
-  }
-  return static_cast<std::uint32_t>(std::stoul(s));
-}
-
-std::vector<std::uint32_t> parse_u32_list(const std::string& s, char sep,
-                                          const char* what) {
-  std::vector<std::uint32_t> out;
-  for (const auto& tok : split(s, sep)) out.push_back(parse_u32(tok, what));
-  NUE_CHECK_MSG(!out.empty(), "generator spec: empty " << what << " list");
-  return out;
-}
-
-/// Instantiate the generator spec string. Grammar (defaults in brackets):
-///   torus:AxB[xC...][:tps[:red]]
-///   fattree:k:n[:tpl]
-///   clos:S0,S1,...:U0,U1,...:terminals
-///   kautz:d:k[:tps[:red]]
-///   dragonfly:a:p:h:g
-///   hyperx:AxB[xC...][:tps[:red]]
-///   random:switches:links:tps:seed
-ScenarioBuild instantiate(const std::string& gen) {
-  const auto parts = split(gen, ':');
-  NUE_CHECK_MSG(!parts.empty(), "empty generator spec");
-  const std::string& kind = parts[0];
-  auto arg = [&](std::size_t i, std::uint32_t def) {
-    return parts.size() > i ? parse_u32(parts[i], "argument") : def;
-  };
-
-  ScenarioBuild b;
-  if (kind == "torus") {
-    NUE_CHECK_MSG(parts.size() >= 2, "torus spec needs dimensions");
-    TorusSpec spec;
-    spec.dims = parse_u32_list(parts[1], 'x', "dimension");
-    spec.terminals_per_switch = arg(2, 1);
-    spec.redundancy = arg(3, 1);
-    b.net = make_torus(spec);
-    b.torus = spec;
-  } else if (kind == "fattree") {
-    NUE_CHECK_MSG(parts.size() >= 3, "fattree spec needs k and n");
-    FatTreeSpec spec;
-    spec.k = parse_u32(parts[1], "arity");
-    spec.n = parse_u32(parts[2], "levels");
-    spec.terminals_per_leaf = arg(3, 1);
-    b.net = make_kary_ntree(spec);
-    b.fattree = spec;
-  } else if (kind == "clos") {
-    NUE_CHECK_MSG(parts.size() >= 4, "clos spec needs stages:uplinks:terms");
-    ClosSpec spec;
-    spec.stage_sizes = parse_u32_list(parts[1], ',', "stage size");
-    spec.uplinks = parse_u32_list(parts[2], ',', "uplink count");
-    spec.num_terminals = parse_u32(parts[3], "terminal count");
-    b.net = make_folded_clos(spec);
-  } else if (kind == "kautz") {
-    NUE_CHECK_MSG(parts.size() >= 3, "kautz spec needs d and k");
-    KautzSpec spec;
-    spec.d = parse_u32(parts[1], "degree");
-    spec.k = parse_u32(parts[2], "diameter");
-    spec.terminals_per_switch = arg(3, 1);
-    spec.redundancy = arg(4, 1);
-    b.net = make_kautz(spec);
-  } else if (kind == "dragonfly") {
-    NUE_CHECK_MSG(parts.size() >= 5, "dragonfly spec needs a:p:h:g");
-    DragonflySpec spec;
-    spec.a = parse_u32(parts[1], "a");
-    spec.p = parse_u32(parts[2], "p");
-    spec.h = parse_u32(parts[3], "h");
-    spec.g = parse_u32(parts[4], "g");
-    b.net = make_dragonfly(spec);
-  } else if (kind == "hyperx") {
-    NUE_CHECK_MSG(parts.size() >= 2, "hyperx spec needs a shape");
-    HyperXSpec spec;
-    spec.shape = parse_u32_list(parts[1], 'x', "shape");
-    spec.terminals_per_switch = arg(2, 1);
-    spec.redundancy = arg(3, 1);
-    b.net = make_hyperx(spec);
-  } else if (kind == "random") {
-    NUE_CHECK_MSG(parts.size() >= 5,
-                  "random spec needs switches:links:tps:seed");
-    RandomSpec spec;
-    spec.switches = parse_u32(parts[1], "switch count");
-    spec.links = parse_u32(parts[2], "link count");
-    spec.terminals_per_switch = parse_u32(parts[3], "terminals");
-    Rng topo_rng(parse_u32(parts[4], "seed"));
-    b.net = make_random(spec, topo_rng);
-  } else {
-    NUE_CHECK_MSG(false, "unknown generator kind '" << kind << "'");
-  }
-  // Every engine's contract assumes a connected fabric (a folded Clos
-  // whose uplink count divides the spine count, say, splits into islands);
-  // reject such specs here instead of crashing inside an engine.
-  NUE_CHECK_MSG(is_connected(b.net),
-                "generator spec '" << gen << "' yields a disconnected fabric");
-  return b;
-}
 
 /// Apply one minimizer removal; throws on anything unsafe so trial
 /// removals are rejected instead of producing degenerate fabrics.
@@ -199,7 +90,13 @@ std::string ScenarioSpec::label() const {
 
 ScenarioBuild build_scenario(const ScenarioSpec& spec,
                              const std::vector<Removal>& removals) {
-  ScenarioBuild b = instantiate(spec.generate);
+  ScenarioBuild b{generate_topology(spec.generate)};
+  // Every engine's contract assumes a connected fabric (a folded Clos
+  // whose uplink count divides the spine count, say, splits into islands);
+  // reject such specs here instead of crashing inside an engine.
+  NUE_CHECK_MSG(is_connected(b.net), "generator spec '"
+                                         << spec.generate
+                                         << "' yields a disconnected fabric");
   Rng fault_rng(spec.seed ^ kFaultSalt);
   // Switches first: a dead switch changes which links are left to draw.
   b.switch_faults = inject_switch_failures(b.net, spec.fail_switches,

@@ -14,18 +14,16 @@ namespace nue {
 
 namespace {
 
-/// Compute the balanced per-destination trees and fill the next tables.
-/// Trees of one update epoch run concurrently (see build_balanced_trees);
-/// the table fill writes disjoint destination columns, so it is parallel
-/// and exact at any thread count.
+/// Compute the balanced per-destination trees (a serial sweep, see
+/// build_balanced_trees) and fill the next tables. The table fill writes
+/// disjoint destination columns, so it is parallel and exact at any
+/// thread count.
 std::vector<DestTree> build_trees(const Network& net,
                                   const std::vector<NodeId>& dests,
-                                  RoutingResult& rr, std::uint32_t epoch,
-                                  std::uint32_t threads) {
+                                  RoutingResult& rr, std::uint32_t threads) {
   TELEM_SPAN("dfsssp.trees");
   std::vector<double> weights(net.num_channels(), 1.0);
-  std::vector<DestTree> trees =
-      build_balanced_trees(net, dests, weights, epoch, threads);
+  std::vector<DestTree> trees = build_balanced_trees(net, dests, weights);
   parallel_for(resolve_threads(threads), dests.size(), [&](std::size_t di) {
     const DestTree& t = trees[di];
     for (NodeId v = 0; v < net.num_nodes(); ++v) {
@@ -50,7 +48,7 @@ class DfssspSolver {
   DfssspSolver(const Network& net, const std::vector<NodeId>& dests,
                const DfssspOptions& opt, RoutingResult& rr)
       : net_(net), dests_(dests), opt_(opt), rr_(rr), idx_(net) {
-    trees_ = build_trees(net, dests, rr, opt.sssp_epoch, opt.num_threads);
+    trees_ = build_trees(net, dests, rr, opt.num_threads);
     hard_cap_ = opt.allow_exceed ? 64u : opt.max_vls;
   }
 
@@ -67,7 +65,7 @@ class DfssspSolver {
     DfssspStats st;
     st.vls_needed = static_cast<std::uint32_t>(layers_.size());
     st.paths_moved = moved_;
-    if (opt_.balance_layers) {
+    {
       TELEM_SPAN("dfsssp.balance");
       balance();
     }
@@ -323,7 +321,7 @@ class DfssspSolver {
 RoutingResult route_minhop(const Network& net,
                            const std::vector<NodeId>& dests) {
   RoutingResult rr(net.num_nodes(), dests, 1, VlMode::kPerDest);
-  build_trees(net, dests, rr, /*epoch=*/1, /*threads=*/0);
+  build_trees(net, dests, rr, /*threads=*/0);
   return rr;
 }
 

@@ -26,16 +26,6 @@ struct DfssspOptions {
   /// annotations of Fig. 10). If false, throw RoutingFailure when the cap
   /// is exceeded — the paper's "DFSSSP is inapplicable" outcome.
   bool allow_exceed = false;
-  /// Spread paths over all max_vls layers after cycle-breaking to improve
-  /// balance (the "DFSSSP usually uses all eight available VCs" behaviour).
-  bool balance_layers = true;
-  /// Weight-update epoch for the balanced SSSP sweep: the trees of one
-  /// epoch share a weight snapshot and are computed concurrently; updates
-  /// apply serially in destination order afterwards. 1 (default) is the
-  /// exact serial feedback loop of the original engine; larger epochs
-  /// trade a slightly staler balance signal for parallelism. The routing
-  /// depends only on this value, never on the thread count.
-  std::uint32_t sssp_epoch = 1;
   /// Worker threads (0 = process default from --threads, 1 = serial).
   std::uint32_t num_threads = 0;
 };

@@ -25,8 +25,8 @@ RoutingResult route_lash(const Network& net, const std::vector<NodeId>& dests,
   const auto switches = net.switches();
   std::vector<std::uint32_t> sw_tree_of(net.num_nodes(),
                                         static_cast<std::uint32_t>(-1));
-  std::vector<DestTree> sw_trees = build_balanced_trees(
-      net, switches, weights, opt.sssp_epoch, opt.num_threads);
+  std::vector<DestTree> sw_trees =
+      build_balanced_trees(net, switches, weights);
   for (std::size_t i = 0; i < switches.size(); ++i) {
     sw_tree_of[switches[i]] = static_cast<std::uint32_t>(i);
   }

@@ -20,12 +20,9 @@ struct LashOptions {
   std::uint32_t max_vls = 8;
   /// Report-only mode: keep opening layers past max_vls (up to 64).
   bool allow_exceed = false;
-  /// Weight-update epoch of the per-switch balanced trees (see
-  /// DfssspOptions::sssp_epoch); 1 = exact serial feedback loop.
-  std::uint32_t sssp_epoch = 1;
   /// Worker threads (0 = process default from --threads, 1 = serial).
-  /// The layer packing itself stays sequential (it is order-defined);
-  /// tree building, table fill, and VL assignment parallelize exactly.
+  /// The balanced tree sweep and the layer packing stay sequential (both
+  /// are order-defined); table fill and VL assignment parallelize exactly.
   std::uint32_t num_threads = 0;
 };
 

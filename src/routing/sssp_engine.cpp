@@ -1,19 +1,17 @@
 #include "routing/sssp_engine.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "heap/dary_heap.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nue {
 
 namespace {
 
-/// dest_tree with caller-provided heap scratch (cleared on entry), so one
-/// execution agent can reuse its heap across the trees of an epoch.
+/// dest_tree with caller-provided heap scratch (cleared on entry), so the
+/// balanced sweep reuses one heap across all its trees.
 DestTree dest_tree_with(const Network& net, NodeId dest,
                         const std::vector<double>& weights,
                         DaryHeap<double>& heap) {
@@ -66,35 +64,14 @@ DestTree dest_tree(const Network& net, NodeId dest,
 
 std::vector<DestTree> build_balanced_trees(const Network& net,
                                            const std::vector<NodeId>& dests,
-                                           std::vector<double>& weights,
-                                           std::uint32_t epoch,
-                                           std::uint32_t threads) {
+                                           std::vector<double>& weights) {
   TELEM_SPAN("sssp.balanced_trees");
-  if (epoch == 0) epoch = 1;
-  const unsigned agents = resolve_threads(threads);
-  std::vector<DestTree> trees(dests.size());
-  std::vector<std::vector<std::uint32_t>> usages(
-      std::min<std::size_t>(epoch, dests.size()));
-  for (std::size_t base = 0; base < dests.size(); base += epoch) {
-    const std::size_t count =
-        std::min<std::size_t>(epoch, dests.size() - base);
-    // Within the epoch every tree reads the same weight snapshot; the
-    // chunk grain only decides which agent computes which trees (heap
-    // scratch is fully reset per tree), so results are thread-agnostic.
-    const std::size_t grain = (count + agents - 1) / agents;
-    parallel_for_chunks(agents, count, grain,
-                        [&](std::size_t b, std::size_t e) {
-                          DaryHeap<double> heap(net.num_nodes());
-                          for (std::size_t i = b; i < e; ++i) {
-                            trees[base + i] = dest_tree_with(
-                                net, dests[base + i], weights, heap);
-                            usages[i] =
-                                tree_channel_usage(net, trees[base + i]);
-                          }
-                        });
-    for (std::size_t i = 0; i < count; ++i) {
-      apply_weight_update(weights, usages[i]);
-    }
+  std::vector<DestTree> trees;
+  trees.reserve(dests.size());
+  DaryHeap<double> heap(net.num_nodes());
+  for (NodeId d : dests) {
+    trees.push_back(dest_tree_with(net, d, weights, heap));
+    apply_weight_update(weights, tree_channel_usage(net, trees.back()));
   }
   return trees;
 }

@@ -38,19 +38,13 @@ constexpr double kHopWeight = 1e10;
 DestTree dest_tree(const Network& net, NodeId dest,
                    const std::vector<double>& weights);
 
-/// Balanced tree set with the DFSSSP weight feedback, computed in update
-/// epochs: the `epoch` destinations of one epoch all see the weight
-/// snapshot taken at the epoch boundary and are therefore independent —
-/// they run concurrently on up to `threads` workers (0 = global default),
-/// each with its own heap/dist/pred scratch. The weight updates are then
-/// applied serially in destination order, so the result depends only on
-/// `epoch`, never on the thread count. epoch == 1 reproduces the fully
-/// serial feedback loop (update after every tree) bit-for-bit.
+/// Balanced tree set with the DFSSSP weight feedback: one tree per
+/// destination in order, each computed over the weights left by the
+/// trees before it (weights[c] += the tree's usage of c). Serial by
+/// nature — tree i depends on trees 0..i-1 — and reuses one heap.
 std::vector<DestTree> build_balanced_trees(const Network& net,
                                            const std::vector<NodeId>& dests,
-                                           std::vector<double>& weights,
-                                           std::uint32_t epoch,
-                                           std::uint32_t threads);
+                                           std::vector<double>& weights);
 
 /// Number of terminal sources whose route crosses each channel of the
 /// tree; used for both weight updates and forwarding-index accounting.

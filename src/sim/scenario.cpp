@@ -9,6 +9,7 @@
 #include <string>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace nue {
 
@@ -329,27 +330,12 @@ Scenario load_trace_file(const std::string& path) {
 
 namespace {
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::uint64_t parse_u64(const std::string& s, const std::string& directive) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
+  const auto v = parse_uint(s);
+  if (!v) {
     bad_scenario("bad number '" + s + "' in directive '" + directive + "'");
   }
+  return *v;
 }
 
 void expect_args(const std::vector<std::string>& parts, std::size_t n,

@@ -1,7 +1,8 @@
 // Parallel determinism: every engine must produce bit-identical results at
 // any thread count. Nue draws all randomness in a sequential prologue and
-// routes its independent layers concurrently; the baselines parallelize
-// within a weight-update epoch; Brandes reduces per-source vectors in
+// routes its independent layers concurrently; the baselines keep their
+// balanced tree sweep serial and parallelize the column-wise work around
+// it; Brandes reduces per-source vectors in
 // source order. None of it may leak scheduling into the output
 // (docs/PARALLELISM.md).
 #include <gtest/gtest.h>
@@ -117,9 +118,8 @@ TEST(ParallelDeterminism, RerouteNue) {
   }
 }
 
-void check_dfsssp(const Network& net, std::uint32_t epoch) {
+void check_dfsssp(const Network& net) {
   DfssspOptions opt;
-  opt.sssp_epoch = epoch;
   opt.num_threads = 1;
   DfssspStats base_stats;
   const auto base = route_dfsssp(net, net.terminals(), opt, &base_stats);
@@ -129,23 +129,15 @@ void check_dfsssp(const Network& net, std::uint32_t epoch) {
     DfssspStats st;
     const auto rr = route_dfsssp(net, net.terminals(), opt, &st);
     EXPECT_EQ(tables_of(net, rr), base_tables)
-        << "threads=" << t << " epoch=" << epoch;
+        << "threads=" << t;
     EXPECT_EQ(st.vls_needed, base_stats.vls_needed);
     EXPECT_EQ(st.paths_moved, base_stats.paths_moved);
   }
 }
 
-TEST(ParallelDeterminism, DfssspTorus) { check_dfsssp(torus_4x4(), 1); }
+TEST(ParallelDeterminism, DfssspTorus) { check_dfsssp(torus_4x4()); }
 
-TEST(ParallelDeterminism, DfssspFatTree) {
-  check_dfsssp(fat_tree_3level(), 1);
-}
-
-// Larger epochs change the balance feedback (legitimately, like a solver
-// knob) but still may not depend on the thread count.
-TEST(ParallelDeterminism, DfssspEpochedSweep) {
-  check_dfsssp(torus_4x4(), 4);
-}
+TEST(ParallelDeterminism, DfssspFatTree) { check_dfsssp(fat_tree_3level()); }
 
 TEST(ParallelDeterminism, Lash) {
   for (const bool fat_tree : {false, true}) {

@@ -172,6 +172,25 @@ TEST(ManagerServiceDispatch, LoadRejectsNonRepairEngines) {
   }
 }
 
+// A malformed generator spec is refused by the strict grammar before any
+// shard exists; it used to load whatever its numeric prefix described.
+TEST(ManagerServiceDispatch, LoadRejectsMalformedSpecs) {
+  ManagerService svc;
+  for (const char* spec : {"torus:3x3:2abc", "torus:3x3:-1", "torus:3x3:"}) {
+    Json req = Json::object();
+    req.set("op", "load");
+    req.set("fabric", "t");
+    req.set("generate", spec);
+    const Json resp = svc.handle(req);
+    EXPECT_FALSE(resp.boolean("ok")) << spec;
+    EXPECT_NE(resp.str("error").find(spec), std::string::npos)
+        << resp.dump();
+  }
+  const Json status = svc.handle(Json::parse(R"({"op":"status"})"));
+  ASSERT_TRUE(status.boolean("ok"));
+  EXPECT_TRUE(status.find("fabrics")->items().empty());
+}
+
 // Request integers are range-checked before any cast: a negative,
 // fractional or oversized value is answered with the error envelope, and
 // an echoed req_id far outside the integer range still round-trips.

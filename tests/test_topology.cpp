@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "graph/algorithms.hpp"
 #include "topology/faults.hpp"
+#include "topology/generate.hpp"
 #include "topology/misc_topologies.hpp"
 #include "topology/torus.hpp"
 #include "topology/trees.hpp"
@@ -265,4 +269,110 @@ TEST(HyperX, RedundancyMultipliesLinks) {
 }
 
 }  // namespace hyperx_tests
+}  // namespace nue
+
+namespace nue {
+namespace {
+
+// Every spec the repo's tests, benches, scripts and fuzz corpus use,
+// with the fabric it has always meant: strict parsing must not move any.
+TEST(GenerateSpec, BuildsTheSameFabricForEverySpecInUse) {
+  struct Expect {
+    const char* spec;
+    std::size_t nodes, channels, terminals;
+  };
+  const Expect table[] = {
+      {"torus:3x3:1", 18, 54, 9},
+      {"torus:3x3:2", 27, 72, 18},
+      {"torus:2x2:1", 8, 16, 4},
+      {"torus:4x3:1", 24, 72, 12},
+      {"torus:4x4:1", 32, 96, 16},
+      {"torus:4x4:2", 48, 128, 32},
+      {"torus:3x3x3:1", 54, 216, 27},
+      {"torus:3x3x3:2", 81, 270, 54},
+      {"torus:4x4x3:2", 144, 480, 96},
+      {"torus:4x4x3:4", 240, 672, 192},
+      {"torus:4x4x4:1", 128, 512, 64},
+      {"torus:4x4x4:2", 192, 640, 128},
+      {"torus:5x5x5:1", 250, 1000, 125},
+      {"torus:5x5x5:4", 625, 1750, 500},
+      {"torus:6x5x5:4", 750, 2100, 600},
+      {"torus:6x6x6:2", 648, 2160, 432},
+      {"torus:8x8x4:2", 768, 2560, 512},
+      {"torus:8x8x8:4", 2560, 7168, 2048},
+      {"random:5:4:1:7", 10, 18, 5},
+      {"random:10:20:2:5", 30, 80, 20},
+      {"random:14:30:1:9", 28, 88, 14},
+      {"random:20:50:2", 60, 180, 40},
+      {"random:125:500:8:1", 1125, 3000, 1000},
+      {"random:125:1000:8", 1125, 4000, 1000},
+      {"fattree:2:2:1", 6, 12, 2},
+      {"fattree:2:3", 20, 48, 8},
+      {"fattree:2:3:2", 20, 48, 8},
+      {"fattree:3:3:3", 54, 162, 27},
+      {"fattree:4:2", 24, 64, 16},
+      {"fattree:4:3", 112, 384, 64},
+      {"fattree:8:3", 704, 3072, 512},
+      {"kautz:2:2:2:1", 18, 42, 12},
+      {"kautz:3:2:1", 24, 144, 12},
+      {"kautz:3:4:3", 432, 1920, 324},
+      {"dragonfly:2:2:1:3", 18, 36, 12},
+      {"dragonfly:4:1:2:4", 32, 104, 16},
+      {"dragonfly:4:2:2:9", 108, 324, 72},
+      {"hyperx:3x3:1", 18, 54, 9},
+      {"hyperx:3x3:2", 27, 72, 18},
+      {"hyperx:2x2x2:2", 24, 56, 16},
+      {"hypercube:3:1", 16, 40, 8},
+      {"hypercube:4:1", 32, 96, 16},
+      {"clos:6,3:2:12", 21, 48, 12},
+      {"cascade", 1728, 9216, 1536},
+      {"tsubame", 1650, 9546, 1407},
+  };
+  for (const Expect& e : table) {
+    const GeneratedTopology g = generate_topology(e.spec);
+    EXPECT_EQ(g.net.num_nodes(), e.nodes) << e.spec;
+    EXPECT_EQ(g.net.num_channels(), e.channels) << e.spec;
+    EXPECT_EQ(g.net.num_alive_terminals(), e.terminals) << e.spec;
+  }
+}
+
+// Each malformed spec throws, and the message names the offending field
+// and the spec. torus:3x3:-1 and torus:3x3:4294967296 used to wrap into
+// ~4e9 terminals per switch instead.
+TEST(GenerateSpec, RejectsMalformedSpecsNamingTheField) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"torus:3x3:2abc", "terminals '2abc'"},
+      {"torus:3xq:1", "dimension 'q'"},
+      {"torus:3x3:", "terminals ''"},
+      {"torus:3x3:2:1:9", "extra field '9'"},
+      {"torus:3x3:-1", "terminals '-1'"},
+      {"torus:3x3:+1", "terminals '+1'"},
+      {"torus:3x3:4294967296", "terminals '4294967296'"},
+      {"torus:3x0:1", "dimension '0'"},
+      {"torus:3x:1", "dimension ''"},
+      {"torus", "needs dimensions"},
+      {"fattree:2:3:x", "terminals 'x'"},
+      {"hyperx:3x3:1:2:5", "extra field '5'"},
+      {"random:10:20:2:5zz", "seed '5zz'"},
+      {"kautz:0:2", "d '0'"},
+      {"clos:6,3:2", "needs terminals"},
+      {"clos:6,3:2,2:12", "uplink count per stage"},
+      {"cascade:1", "extra field '1'"},
+      {"mesh:4x4", "unknown topology kind 'mesh'"},
+      {"", "unknown topology kind ''"},
+  };
+  for (const auto& [spec, field] : cases) {
+    try {
+      generate_topology(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(field), std::string::npos) << spec << ": " << what;
+      EXPECT_NE(what.find("'" + std::string(spec) + "'"), std::string::npos)
+          << spec << ": " << what;
+    }
+  }
+}
+
+}  // namespace
 }  // namespace nue

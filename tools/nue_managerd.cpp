@@ -8,21 +8,19 @@
 //       --load "a=torus:4x4:1@nue:2;b=random:20:50:2@dfsssp:8"
 //
 // --load grammar: semicolon-separated shards, each
-// name=<generator spec>[@engine[:vls[:max_vls[:seed]]]] — the generator
-// spec is the same colon grammar nue_route --generate takes
-// (src/topology/generate.hpp). Further fabrics can be loaded over the
-// protocol at runtime. A `shutdown` request (nue_routectl --op shutdown)
-// winds the daemon down gracefully: in-flight connections drain, then
-// the telemetry exporters flush — the run report embeds every shard's
-// reconfiguration log as a "reconfig.<fabric>" section.
+// name=<generator spec>[@engine[:vls[:max_vls[:seed]]]]. Each entry
+// becomes a `load` request handled exactly like one off the socket, so
+// both share one set of defaults and checks; the generator spec is the
+// grammar of src/topology/generate.hpp. Further fabrics can be loaded
+// over the protocol at runtime. A `shutdown` request (nue_routectl --op
+// shutdown) winds the daemon down gracefully: in-flight connections
+// drain, then the telemetry exporters flush — the run report embeds
+// every shard's reconfiguration log as a "reconfig.<fabric>" section.
 #include <csignal>
-#include <cstdlib>
-#include <iostream>
-#include <sstream>
-#include <string>
-#include <vector>
-
 #include <fstream>
+#include <iostream>
+#include <iterator>
+#include <string>
 
 #include "service/server.hpp"
 #include "service/service.hpp"
@@ -30,6 +28,7 @@
 #include "telemetry/export.hpp"
 #include "util/error.hpp"
 #include "util/flags.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -40,54 +39,37 @@ void handle_signal(int) {
   if (g_server != nullptr) g_server->stop();
 }
 
-struct LoadSpec {
-  std::string name;
-  std::string generate;
-  nue::resilience::RepairPolicy policy;
-};
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::istringstream is(s);
-  std::string item;
-  while (std::getline(is, item, sep)) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-LoadSpec parse_load(const std::string& item, std::size_t log_max_records) {
-  LoadSpec spec;
-  spec.policy.log_max_records = log_max_records;
+/// One --load entry, name=<generator spec>[@engine[:vls[:max_vls[:seed]]]],
+/// as the `load` request the socket carries, so the `load` op applies
+/// its own defaults and checks to startup loads too.
+nue::Json load_request(const std::string& item, std::size_t log_max_records) {
   const auto eq = item.find('=');
   NUE_CHECK_MSG(eq != std::string::npos && eq > 0,
                 "--load entry '" << item << "' needs name=<generator spec>");
-  spec.name = item.substr(0, eq);
-  std::string rest = item.substr(eq + 1);
+  const std::string rest = item.substr(eq + 1);
   const auto at = rest.find('@');
+  nue::Json req = nue::Json::object();
+  req.set("op", "load");
+  req.set("fabric", item.substr(0, eq));
+  req.set("generate", rest.substr(0, at));
   if (at != std::string::npos) {
-    const auto opts = split(rest.substr(at + 1), ':');
-    rest = rest.substr(0, at);
-    NUE_CHECK_MSG(!opts.empty(), "--load entry '" << item
-                                 << "' has an empty @engine suffix");
-    const auto engine = nue::engine_from_name(opts[0]);
-    NUE_CHECK_MSG(engine.has_value() && nue::engine_info(*engine).repairs,
-                  "unknown repair engine '" << opts[0] << "' in --load");
-    spec.policy.engine = *engine;
-    if (opts.size() > 1) {
-      spec.policy.vls = static_cast<std::uint32_t>(std::stoul(opts[1]));
-    }
-    spec.policy.max_vls =
-        opts.size() > 2 ? static_cast<std::uint32_t>(std::stoul(opts[2]))
-                        : std::max(spec.policy.vls, 8u);
-    if (opts.size() > 3) {
-      spec.policy.seed = std::stoull(opts[3]);
+    const auto opts = nue::split(rest.substr(at + 1), ':');
+    const char* const keys[] = {"engine", "vls", "max_vls", "seed"};
+    NUE_CHECK_MSG(opts.size() <= std::size(keys),
+                  "--load entry '" << item << "' has more than "
+                                   << "engine:vls:max_vls:seed after '@'");
+    req.set("engine", opts[0]);
+    for (std::size_t i = 1; i < opts.size(); ++i) {
+      // JSON numbers are doubles: larger values would round silently.
+      const auto v = nue::parse_uint(opts[i], std::uint64_t{1} << 53);
+      NUE_CHECK_MSG(v.has_value(), "--load entry '" << item << "': "
+                                       << keys[i] << " '" << opts[i]
+                                       << "' must be an integer in [0, 2^53]");
+      req.set(keys[i], *v);
     }
   }
-  NUE_CHECK_MSG(!rest.empty(),
-                "--load entry '" << item << "' has an empty generator spec");
-  spec.generate = rest;
-  return spec;
+  req.set("log_max_records", log_max_records);
+  return req;
 }
 
 }  // namespace
@@ -147,12 +129,14 @@ int main(int argc, char** argv) {
   try {
     service::ManagerService svc(obs);
     for (const auto& item : split(load, ';')) {
-      const LoadSpec spec = parse_load(item, log_max_records);
-      svc.load(spec.name, spec.generate, spec.policy);
-      std::cerr << "nue_managerd: loaded '" << spec.name << "' = "
-                << spec.generate << " ("
-                << engine_name(spec.policy.engine) << ", "
-                << spec.policy.vls << " VLs)\n";
+      if (item.empty()) continue;
+      const Json resp = svc.handle(load_request(item, log_max_records));
+      if (!resp.boolean("ok")) {
+        std::cerr << "nue_managerd: --load entry '" << item
+                  << "': " << resp.str("error") << "\n";
+        return 1;
+      }
+      std::cerr << "nue_managerd: loaded " << item << "\n";
     }
 
     service::SocketServer server(socket_path, svc);
