@@ -102,14 +102,16 @@ python3 scripts/validate_json.py scripts/schemas/run_report.schema.json \
 # regression tests (adjacency-pool accounting, resilience-manager reuse)
 # and the per-column suites (ColumnPass's memo and load arrays are
 # indexed by node x lane class, RoutingResult's lane array per column or
-# per node x column; the repair pins copy and shift those lanes) run
-# under the same ASan build. Responses are schema-checked against the
-# protocol envelope, and the run report flushed at shutdown must carry
-# the service counters plus the shard's reconfig section.
+# per node x column; the repair pins copy and shift those lanes) and the
+# complete-CDG suites (the order repair indexes its position -> channel
+# array by position, so an off-by-one at the region's end must fail
+# loudly) run under the same ASan build. Responses are schema-checked
+# against the protocol envelope, and the run report flushed at shutdown
+# must carry the service counters plus the shard's reconfig section.
 cmake --build build-asan -j --target nue_managerd nue_routectl nue_tests
 ASAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/nue_tests \
-  --gtest_filter='NetworkChurn.*:ResilienceChurn.*:ReconfigLogRetention.*:Daemon.*:WaveScheduler.*:LivePlane.*:JournalGolden.*:CounterParity.*:EventSim.*:SimParity.*:Scenario.*:ValidateColumnPass.*:RoutingColumns.*:QualityColumnPass.*:GoldenRepair.*:GenerateSpec.*:ManagerServiceDispatch.*'
+  --gtest_filter='NetworkChurn.*:ResilienceChurn.*:ReconfigLogRetention.*:Daemon.*:WaveScheduler.*:LivePlane.*:JournalGolden.*:CounterParity.*:EventSim.*:SimParity.*:Scenario.*:ValidateColumnPass.*:RoutingColumns.*:QualityColumnPass.*:GoldenRepair.*:GenerateSpec.*:ManagerServiceDispatch.*:CompleteCdg*.*:Seeds/CompleteCdg*.*'
 MANAGERD_SOCK="build-asan/managerd.sock"
 rm -rf build-asan/flightrec build-asan/managerd.journal.jsonl
 ASAN_OPTIONS="halt_on_error=1" \

@@ -37,6 +37,20 @@
 // either way (both conditions run the same topo_insert); only the
 // merge/search statistics shift.
 //
+// The Pearce–Kelly order is a permutation held twice: ord_ maps a channel
+// to its position and at_ maps a position back to its channel; every
+// write goes through place(), which keeps the two inverse. An insertion
+// against the order reorders only the window [ord(b), ord(a)]: after the
+// forward and backward searches, one walk of the window's positions
+// through at_ meets both regions already in position order, together
+// with their pooled positions in ascending order, so the repair needs no
+// sort. A window with more than kScanRatio positions per region member
+// (long windows with few members, common on 10^5-switch tori) is cheaper
+// to sort than to walk, so there one sort of (position, channel) keys
+// yields the same ordered pass. Either way the result is the permutation
+// the textbook repair gets from sorting both regions and the pool, so
+// ord_ — and every decision that reads it — is unchanged.
+//
 // Orientation: everything here lives in *search orientation* (paths grow
 // from the destination outward, Algorithm 1); the traffic-induced CDG is
 // the edge-reversed image under c -> reverse(c), an isomorphism that
@@ -77,10 +91,11 @@ class CompleteCdg {
         used_succ_(net.num_channels()),
         used_pred_(net.num_channels()),
         ord_(net.num_channels()),
+        at_(net.num_channels()),
         stamp_f_(net.num_channels(), 0),
         stamp_b_(net.num_channels(), 0) {
     comp_members_.emplace_back();  // component ids start at 1
-    for (std::uint32_t i = 0; i < ord_.size(); ++i) ord_[i] = i;
+    for (std::uint32_t i = 0; i < ord_.size(); ++i) ord_[i] = at_[i] = i;
   }
 
   // --- state queries --------------------------------------------------------
@@ -88,6 +103,8 @@ class CompleteCdg {
   bool channel_used(ChannelId c) const { return used_[c]; }
   bool edge_used(EdgeId e) const { return estate_[e] == 1; }
   bool edge_blocked(EdgeId e) const { return estate_[e] == -1; }
+  /// The channel's position in the maintained topological order.
+  std::uint32_t order_position(ChannelId c) const { return ord_[c]; }
   const Stats& stats() const { return stats_; }
 
   // --- mutation -------------------------------------------------------------
@@ -184,7 +201,7 @@ class CompleteCdg {
     std::size_t taken = 0;
     for (std::size_t i = 0; i < fnodes_.size(); ++i) {
       const ChannelId c = fnodes_[i];
-      ord_[c] = pool_[taken++];
+      place(c, pool_[taken++]);
       for (ChannelId w : used_succ_[c]) {
         if (--indeg[w] == 0) fnodes_.push_back(w);
       }
@@ -232,13 +249,17 @@ class CompleteCdg {
   }
 
   /// Internal consistency check (used by the property tests):
-  ///  - the topological order is consistent with every used edge,
+  ///  - the topological order is consistent with every used edge, and
+  ///    ord_ is a permutation whose inverse is at_,
   ///  - the used-successor adjacency matches the permanent + step journals,
   ///  - every journaled edge is in the `used` state,
   ///  - ω marks exactly cover the channels with incident used edges plus
   ///    the explicitly marked roots, and component labels never separate
   ///    the endpoints of a used edge.
   bool check_invariants() const {
+    for (ChannelId c = 0; c < ord_.size(); ++c) {
+      if (ord_[c] >= at_.size() || at_[ord_[c]] != c) return false;
+    }
     for (ChannelId c = 0; c < used_succ_.size(); ++c) {
       for (ChannelId w : used_succ_[c]) {
         if (!(ord_[c] < ord_[w])) return false;
@@ -381,6 +402,10 @@ class CompleteCdg {
   }
 
  private:
+  /// topo_insert walks a reorder window of up to this many positions per
+  /// member of the regions it moves; a sparser window sorts the members.
+  static constexpr std::size_t kScanRatio = 16;
+
   struct EdgeRec {
     EdgeId e;
     ChannelId c1, c2;
@@ -526,18 +551,50 @@ class CompleteCdg {
       }
     }
     // Redistribute the affected positions: all of B (in relative order)
-    // before all of F (in relative order).
-    auto by_ord = [&](ChannelId x, ChannelId y) { return ord_[x] < ord_[y]; };
-    std::sort(fnodes_.begin(), fnodes_.end(), by_ord);
-    std::sort(bnodes_.begin(), bnodes_.end(), by_ord);
-    pool_.clear();
-    for (ChannelId x : bnodes_) pool_.push_back(ord_[x]);
-    for (ChannelId x : fnodes_) pool_.push_back(ord_[x]);
-    std::sort(pool_.begin(), pool_.end());
+    // before all of F (in relative order). One pass over the members in
+    // position order lists each set and pools their positions; a dense
+    // window is walked through at_, a sparse one sorted by key.
+    const auto take = [&](ChannelId x, std::uint32_t p) {
+      (stamp_b_[x] == generation_ ? bnodes_ : fnodes_).push_back(x);
+      pool_.push_back(p);
+    };
+    if (ub - lb > kScanRatio * (fnodes_.size() + bnodes_.size())) {
+      keys_.clear();
+      for (ChannelId x : bnodes_) keys_.push_back(order_key(x));
+      for (ChannelId x : fnodes_) keys_.push_back(order_key(x));
+      std::sort(keys_.begin(), keys_.end());
+      bnodes_.clear();
+      fnodes_.clear();
+      pool_.clear();
+      for (const std::uint64_t k : keys_) {
+        take(static_cast<ChannelId>(k), static_cast<std::uint32_t>(k >> 32));
+      }
+    } else {
+      bnodes_.clear();
+      fnodes_.clear();
+      pool_.clear();
+      for (std::uint32_t p = lb; p <= ub; ++p) {
+        const ChannelId x = at_[p];
+        if (stamp_b_[x] == generation_ || stamp_f_[x] == generation_) {
+          take(x, p);
+        }
+      }
+    }
     std::size_t i = 0;
-    for (ChannelId x : bnodes_) ord_[x] = pool_[i++];
-    for (ChannelId x : fnodes_) ord_[x] = pool_[i++];
+    for (ChannelId x : bnodes_) place(x, pool_[i++]);
+    for (ChannelId x : fnodes_) place(x, pool_[i++]);
     return true;
+  }
+
+  /// A channel's sort key by order position: the position in the high
+  /// half, the channel (unique per position) in the low half.
+  std::uint64_t order_key(ChannelId c) const {
+    return std::uint64_t{ord_[c]} << 32 | c;
+  }
+
+  void place(ChannelId c, std::uint32_t pos) {
+    ord_[c] = pos;
+    at_[pos] = c;
   }
 
   const Network* net_;
@@ -553,13 +610,15 @@ class CompleteCdg {
   std::vector<std::int8_t> estate_;
   std::vector<std::vector<ChannelId>> used_succ_;
   std::vector<std::vector<ChannelId>> used_pred_;
-  std::vector<std::uint32_t> ord_;
+  std::vector<std::uint32_t> ord_;       // channel -> order position
+  std::vector<ChannelId> at_;            // order position -> channel
   std::vector<std::uint32_t> stamp_f_;
   std::vector<std::uint32_t> stamp_b_;
   std::vector<ChannelId> dfs_stack_;
   std::vector<ChannelId> fnodes_;
   std::vector<ChannelId> bnodes_;
   std::vector<std::uint32_t> pool_;
+  std::vector<std::uint64_t> keys_;
   std::uint32_t generation_ = 0;
   bool keep_blocked_across_steps_ = false;
   Stats stats_;

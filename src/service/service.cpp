@@ -40,18 +40,19 @@ Json error_response(const std::string& op, const std::string& what) {
 }
 
 /// A request's non-negative integer member, `def` when absent. A value
-/// that is not a number, negative, fractional or too large for T throws
-/// — dispatch answers with the error envelope — instead of reaching a
-/// cast whose result would be undefined.
+/// that is not a number, negative, fractional, too large for T or above
+/// `max` throws — dispatch answers with the error envelope — instead of
+/// reaching a cast whose result would be undefined.
 template <typename T>
-T uint_member(const Json& req, const std::string& key, T def) {
+T uint_member(const Json& req, const std::string& key, T def,
+              T max = std::numeric_limits<T>::max()) {
   const Json* v = req.find(key);
   if (v == nullptr) return def;
   const double x = v->is_number() ? v->as_number() : -1.0;
   NUE_CHECK_MSG(x >= 0 && x == std::floor(x) &&
-                    x < std::ldexp(1.0, std::numeric_limits<T>::digits),
-                "\"" << key << "\" must be an integer in [0, "
-                     << std::numeric_limits<T>::max() << "]");
+                    x < std::ldexp(1.0, std::numeric_limits<T>::digits) &&
+                    static_cast<T>(x) <= max,
+                "\"" << key << "\" must be an integer in [0, " << max << "]");
   return static_cast<T>(x);
 }
 
@@ -397,9 +398,9 @@ Json ManagerService::op_load(const Json& req) {
   NUE_CHECK_MSG(parsed.has_value() && engine_info(*parsed).repairs,
                 "unknown repair engine '" << engine << "'");
   policy.engine = *parsed;
-  policy.vls = uint_member<std::uint32_t>(req, "vls", 2);
+  policy.vls = uint_member<std::uint32_t>(req, "vls", 2, kMaxLoadVls);
   policy.max_vls = uint_member<std::uint32_t>(
-      req, "max_vls", std::max<std::uint32_t>(policy.vls, 8));
+      req, "max_vls", std::max<std::uint32_t>(policy.vls, 8), kMaxLoadVls);
   policy.seed = uint_member<std::uint64_t>(req, "seed", 1);
   policy.num_threads = uint_member<std::uint32_t>(req, "threads", 1);
   policy.log_max_records =

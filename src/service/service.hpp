@@ -40,6 +40,12 @@
 
 namespace nue::service {
 
+/// Largest `vls` (and `max_vls`) a `load` request may ask for: the
+/// 64-lane hard cap DFSSSP and LASH use when allowed to exceed their
+/// budget. A larger request gets the error envelope before any shard is
+/// built, instead of routing that many virtual layers.
+inline constexpr std::uint32_t kMaxLoadVls = 64;
+
 /// One managed fabric: resilience manager + request counters. With a
 /// journal attached, every commit (chain intermediates included) is
 /// journaled via the manager's commit hook, gate failures get a

@@ -8,6 +8,7 @@
 // one tool always means the same fabric to the others.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -25,6 +26,14 @@ struct GeneratedTopology {
   std::optional<TorusSpec> torus;
   std::optional<FatTreeSpec> fattree;
 };
+
+/// Largest node count, and largest link count, a generator spec may ask
+/// for: 2^24 each, room for the million-switch tori of docs/SCALING.md
+/// with terminals. Larger fabrics are refused before anything is
+/// allocated, so a well-formed but huge spec (torus:3x3:4000000000) is
+/// an error, not an exhausted machine.
+inline constexpr std::uint64_t kMaxGeneratedElements = std::uint64_t{1}
+                                                       << 24;
 
 /// Build the fabric a generator spec describes. Grammar (arguments in
 /// brackets are optional and take the default shown):
@@ -46,7 +55,9 @@ struct GeneratedTopology {
 /// >= 1; terminal counts, link counts and seeds may be 0. An empty
 /// field, a sign, trailing characters, or more fields than the kind
 /// takes throws std::logic_error (NUE_CHECK) naming the field and the
-/// spec, as does an unknown kind. Deterministic: the same spec always
+/// spec, as does an unknown kind, and so does a fabric whose node or
+/// link total (counted with overflow-safe arithmetic from the fields
+/// alone) exceeds kMaxGeneratedElements. Deterministic: the same spec always
 /// yields the same fabric, which is what lets the daemon's tables be
 /// diffed against a one-shot nue_route run.
 GeneratedTopology generate_topology(const std::string& spec);

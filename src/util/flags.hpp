@@ -2,15 +2,20 @@
 //
 // Supported syntax: --name value, --name=value, and boolean --name.
 // Unknown flags abort with a usage message so typos don't silently run the
-// default configuration.
+// default configuration, and so do malformed numeric values: an integer
+// flag takes what parse_int accepts, a double flag what parse_double
+// accepts (src/util/parse.hpp), so "2x", "x", "" and out-of-range values
+// make finish() fail instead of running with a prefix or a 0.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "util/parse.hpp"
 
 namespace nue {
 
@@ -20,19 +25,43 @@ class Flags {
     for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
   }
 
-  /// Register + read an integer flag.
-  std::int64_t get_int(const std::string& name, std::int64_t def,
-                       const std::string& help) {
+  /// Most worker threads --threads accepts. A larger or negative request
+  /// is a bad value, not a count wrapped into 32 bits.
+  static constexpr std::int64_t kMaxThreads = 1024;
+
+  /// Register + read an integer flag. A malformed value, or one outside
+  /// [min, max], reads as `def` and makes finish() fail.
+  std::int64_t get_int(
+      const std::string& name, std::int64_t def, const std::string& help,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
     describe(name, std::to_string(def), help);
     const auto v = find(name);
-    return v ? std::strtoll(v->c_str(), nullptr, 10) : def;
+    if (!v) return def;
+    const auto parsed = parse_int(*v);
+    if (!parsed) {
+      bad_value(name, *v, "an integer");
+    } else if (*parsed < min || *parsed > max) {
+      bad_value(name, *v,
+                "an integer in [" + std::to_string(min) + ", " +
+                    std::to_string(max) + "]");
+    } else {
+      return *parsed;
+    }
+    return def;
   }
 
+  /// Register + read a floating-point flag; a malformed or non-finite
+  /// value reads as `def` and makes finish() fail.
   double get_double(const std::string& name, double def,
                     const std::string& help) {
     describe(name, std::to_string(def), help);
     const auto v = find(name);
-    return v ? std::strtod(v->c_str(), nullptr) : def;
+    if (!v) return def;
+    const auto parsed = parse_double(*v);
+    if (parsed) return *parsed;
+    bad_value(name, *v, "a finite number");
+    return def;
   }
 
   std::string get_string(const std::string& name, const std::string& def,
@@ -47,8 +76,8 @@ class Flags {
   /// passes the result to set_default_threads() (util/thread_pool.hpp).
   std::uint32_t get_threads() {
     return static_cast<std::uint32_t>(get_int(
-        "threads", 0,
-        "worker threads (0 = hardware concurrency, 1 = serial)"));
+        "threads", 0, "worker threads (0 = hardware concurrency, 1 = serial)",
+        0, kMaxThreads));
   }
 
   bool get_bool(const std::string& name, bool def, const std::string& help) {
@@ -61,7 +90,8 @@ class Flags {
   /// Call after all get_* registrations: validates args, handles --help.
   /// Returns false if the program should exit (help printed / bad flag).
   bool finish() {
-    bool ok = true;
+    bool ok = errors_.empty();
+    for (const auto& e : errors_) std::cerr << e << "\n";
     for (std::size_t i = 0; i < args_.size(); ++i) {
       std::string a = args_[i];
       if (a == "--help" || a == "-h") {
@@ -98,6 +128,12 @@ class Flags {
     }
   }
 
+  void bad_value(const std::string& name, const std::string& value,
+                 const std::string& want) {
+    errors_.push_back("bad value for --" + name + ": '" + value +
+                      "' (want " + want + ")");
+  }
+
   /// Find the raw value for --name in the argument list.
   const std::string* find(const std::string& name) {
     for (std::size_t i = 0; i < args_.size(); ++i) {
@@ -127,6 +163,7 @@ class Flags {
   std::vector<std::string> args_;
   std::map<std::string, std::string> known_;
   std::map<std::string, std::string> values_;
+  std::vector<std::string> errors_;
 };
 
 }  // namespace nue

@@ -191,6 +191,39 @@ TEST(ManagerServiceDispatch, LoadRejectsMalformedSpecs) {
   EXPECT_TRUE(status.find("fabrics")->items().empty());
 }
 
+// Sizes past their ceilings get the error envelope before any shard is
+// built: a generator spec over kMaxGeneratedElements nodes or links, and
+// a `vls` or `max_vls` over kMaxLoadVls.
+TEST(ManagerServiceDispatch, LoadRefusesSizesPastTheCeilings) {
+  ManagerService svc;
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"op":"load","fabric":"t","generate":"torus:3x3:4000000000"})",
+       "ceiling"},
+      {R"({"op":"load","fabric":"t","generate":"torus:3x3:1","vls":65})",
+       "\"vls\" must be an integer in [0, 64]"},
+      {R"({"op":"load","fabric":"t","generate":"torus:3x3:1",)"
+       R"("vls":4000000000})",
+       "\"vls\" must be an integer in [0, 64]"},
+      {R"({"op":"load","fabric":"t","generate":"torus:3x3:1",)"
+       R"("max_vls":65})",
+       "\"max_vls\" must be an integer in [0, 64]"},
+  };
+  for (const auto& [req, what] : cases) {
+    const Json resp = svc.handle(Json::parse(req));
+    EXPECT_FALSE(resp.boolean("ok")) << req;
+    EXPECT_EQ(resp.str("op"), "load") << req;
+    EXPECT_NE(resp.str("error").find(what), std::string::npos)
+        << resp.dump();
+  }
+  const Json status = svc.handle(Json::parse(R"({"op":"status"})"));
+  ASSERT_TRUE(status.boolean("ok"));
+  EXPECT_TRUE(status.find("fabrics")->items().empty());
+  EXPECT_TRUE(svc.handle(Json::parse(R"({"op":"load","fabric":"t",)"
+                                     R"("generate":"torus:3x3:1",)"
+                                     R"("vls":2,"max_vls":64})"))
+                  .boolean("ok"));
+}
+
 // Request integers are range-checked before any cast: a negative,
 // fractional or oversized value is answered with the error envelope, and
 // an echoed req_id far outside the integer range still round-trips.

@@ -374,5 +374,41 @@ TEST(GenerateSpec, RejectsMalformedSpecsNamingTheField) {
   }
 }
 
+// A well-formed spec whose fabric would pass kMaxGeneratedElements nodes
+// or links is refused from its fields alone, before anything is built:
+// the totals saturate instead of wrapping, so torus:3x3:4000000000 (36e9
+// terminals) and 64-bit-overflowing shapes all reach the check.
+TEST(GenerateSpec, RejectsFabricsPastTheSizeCeiling) {
+  for (const char* spec : {
+           "torus:3x3:4000000000",
+           "torus:4294967295x4294967295x4294967295x4294967295",
+           "torus:4096x4096:1",
+           "random:16777216:16777216:1",
+           "random:2:16777217:0",
+           "fattree:4294967295:4294967295",
+           "fattree:2:4294967295:0",
+           "kautz:4294967295:4294967295",
+           "dragonfly:100000:0:1:100000",
+           "hyperx:4096x4096x2:0",
+           "hypercube:4294967295:0",
+           "hypercube:25:0",
+           "clos:4294967295,4294967295:4294967295:0",
+           "clos:2,2:1:16777216",
+       }) {
+    try {
+      generate_topology(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ceiling of " +
+                          std::to_string(kMaxGeneratedElements)),
+                std::string::npos)
+          << spec << ": " << what;
+      EXPECT_NE(what.find("'" + std::string(spec) + "'"), std::string::npos)
+          << spec << ": " << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nue

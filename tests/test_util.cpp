@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/flags.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/rss.hpp"
 #include "util/stats.hpp"
@@ -134,6 +136,60 @@ TEST(Flags, UnknownFlagFailsFinish) {
   Flags f(3, const_cast<char**>(argv));
   (void)f.get_int("count", 1, "c");
   EXPECT_FALSE(f.finish());
+}
+
+// A malformed numeric value fails finish() (the tools then print the
+// usage and exit 1) instead of running with its numeric prefix or a 0.
+TEST(Flags, MalformedNumbersFailFinish) {
+  for (const char* value :
+       {"2x", "x", "", "99999999999999999999", "-", "+3", " 5"}) {
+    const char* argv[] = {"prog", "--count", value};
+    Flags f(3, const_cast<char**>(argv));
+    EXPECT_EQ(f.get_int("count", 7, "c"), 7) << "'" << value << "'";
+    EXPECT_FALSE(f.finish()) << "'" << value << "'";
+  }
+  for (const char* value : {"2x", "x", "", "1e999", "nan", "inf", " 2"}) {
+    const std::string arg = std::string("--rate=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    Flags f(2, const_cast<char**>(argv));
+    EXPECT_DOUBLE_EQ(f.get_double("rate", 1.5, "r"), 1.5)
+        << "'" << value << "'";
+    EXPECT_FALSE(f.finish()) << "'" << value << "'";
+  }
+  const char* argv[] = {"prog", "--count", "-12", "--rate", "-2.5e-3"};
+  Flags f(5, const_cast<char**>(argv));
+  EXPECT_EQ(f.get_int("count", 7, "c"), -12);
+  EXPECT_DOUBLE_EQ(f.get_double("rate", 1.5, "r"), -2.5e-3);
+  EXPECT_TRUE(f.finish());
+}
+
+// --threads is range-checked by the parser: a negative or oversized
+// request is a bad value, never a cast to a huge pool size.
+TEST(Flags, ThreadsOutsideTheRangeFailFinish) {
+  for (const char* value : {"-1", "1025", "4294967296", "4294967295"}) {
+    const char* argv[] = {"prog", "--threads", value};
+    Flags f(3, const_cast<char**>(argv));
+    EXPECT_EQ(f.get_threads(), 0u) << value;
+    EXPECT_FALSE(f.finish()) << value;
+  }
+  const char* argv[] = {"prog", "--threads=1024"};
+  Flags f(2, const_cast<char**>(argv));
+  EXPECT_EQ(f.get_threads(), 1024u);
+  EXPECT_TRUE(f.finish());
+}
+
+TEST(Parse, SignedAndFloatingValues) {
+  EXPECT_EQ(parse_int("0"), 0);
+  EXPECT_EQ(parse_int("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(parse_int("9223372036854775807"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_FALSE(parse_int("9223372036854775808").has_value());
+  EXPECT_FALSE(parse_int("-9223372036854775809").has_value());
+  EXPECT_FALSE(parse_int("--1").has_value());
+  EXPECT_EQ(parse_double("0.25"), 0.25);
+  EXPECT_FALSE(parse_double("0.25 ").has_value());
+  EXPECT_FALSE(parse_double("-1e999").has_value());
 }
 
 // Satellite regression (ISSUE 7): a /proc/self/status without VmHWM —
