@@ -34,6 +34,7 @@
 #include "nue/engines.hpp"
 #include "routing/routing.hpp"
 #include "routing/validate.hpp"
+#include "sim/flit_sim.hpp"
 #include "topology/generate.hpp"
 
 namespace nue::fuzz {
@@ -115,7 +116,8 @@ struct OracleConfig {
   /// the cycle-based engine and demand matching verdicts and (on
   /// completion) identical delivered totals — a differential oracle over
   /// the two simulator implementations themselves
-  /// (sim-engine-divergence).
+  /// (sim-engine-divergence; see sim_engine_divergence for the one
+  /// verdict pair a cyclic table may show).
   bool cross_check_engines = true;
 };
 
@@ -143,6 +145,18 @@ struct OracleReport {
 
   bool ok() const { return violations.empty(); }
 };
+
+/// The two simulators' verdicts on one run of the same traffic: "" when
+/// they agree, else the sim-engine-divergence detail. A verdict differs,
+/// or both completed with different delivered totals. One direction is
+/// no divergence on a table whose CDG is cyclic (`deadlock_free` false):
+/// event engine completed, cycle engine deadlocked. There the order of
+/// same-cycle moves decides whether the cyclic wait closes, and the two
+/// engines order them differently. A missed wake can only fake an
+/// event-engine deadlock, never a completion, so the opposite direction
+/// stays a divergence on every table.
+std::string sim_engine_divergence(const SimResult& event,
+                                  const SimResult& cycle, bool deadlock_free);
 
 /// Stable kind token of the first violation ("" if none). Kinds:
 /// engine-exception, nue-routing-failure, unreachable, path-revisits-node,

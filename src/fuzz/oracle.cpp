@@ -57,6 +57,27 @@ std::string violation_kind(const OracleReport& rep) {
   return colon == std::string::npos ? v : v.substr(0, colon);
 }
 
+std::string sim_engine_divergence(const SimResult& event,
+                                  const SimResult& cycle, bool deadlock_free) {
+  std::stringstream ss;
+  if (cycle.completed != event.completed ||
+      cycle.deadlocked != event.deadlocked) {
+    if (!deadlock_free && event.completed && cycle.deadlocked) return "";
+    ss << "event engine (completed=" << event.completed
+       << ", deadlocked=" << event.deadlocked << ") vs cycle engine ("
+       << "completed=" << cycle.completed
+       << ", deadlocked=" << cycle.deadlocked << ")";
+  } else if (cycle.completed &&
+             (cycle.delivered_bytes != event.delivered_bytes ||
+              cycle.delivered_packets != event.delivered_packets)) {
+    ss << "both engines completed but delivered " << event.delivered_bytes
+       << " vs " << cycle.delivered_bytes << " bytes ("
+       << event.delivered_packets << " vs " << cycle.delivered_packets
+       << " packets)";
+  }
+  return ss.str();
+}
+
 OracleReport check_scenario(const ScenarioSpec& spec,
                             const ScenarioBuild& build,
                             const EngineOutcome& engine,
@@ -142,24 +163,9 @@ OracleReport check_scenario(const ScenarioSpec& spec,
     if (cfg.cross_check_engines) {
       rep.engines_cross_checked = true;
       const SimResult base = simulate_cycle(net, rr, msgs, scfg);
-      if (base.completed != res.completed ||
-          base.deadlocked != res.deadlocked) {
-        std::stringstream ss;
-        ss << "event engine (completed=" << res.completed
-           << ", deadlocked=" << res.deadlocked << ") vs cycle engine ("
-           << "completed=" << base.completed
-           << ", deadlocked=" << base.deadlocked << ")";
-        add_violation(rep, "sim-engine-divergence", ss.str());
-      } else if (base.completed &&
-                 (base.delivered_bytes != res.delivered_bytes ||
-                  base.delivered_packets != res.delivered_packets)) {
-        std::stringstream ss;
-        ss << "both engines completed but delivered " << res.delivered_bytes
-           << " vs " << base.delivered_bytes << " bytes ("
-           << res.delivered_packets << " vs " << base.delivered_packets
-           << " packets)";
-        add_violation(rep, "sim-engine-divergence", ss.str());
-      }
+      const std::string detail =
+          sim_engine_divergence(res, base, rep.validation.deadlock_free);
+      if (!detail.empty()) add_violation(rep, "sim-engine-divergence", detail);
     }
   }
 

@@ -29,15 +29,19 @@
 // on a subscription that can never fire (the cyclic wait of a real
 // credit deadlock). No idle-cycle watchdog, no 50k-cycle wait.
 //
-// One deliberate timing difference from the cycle engine: a credit freed
-// at cycle t is reusable at t (later in the same scan) there, but at t+1
-// here. Verdicts and delivered totals are unaffected (the parity suite
-// checks both); per-run cycle counts may differ by small constants.
+// Timing and order differ from the cycle engine: a credit freed at
+// cycle t is reusable at t (later in the same scan) there, but wakes a
+// sleeping actor at t+1 here, and the two serve one cycle's outputs in
+// different orders. On tables with an acyclic CDG, verdicts and
+// delivered totals agree (the parity suite checks both) and cycle counts
+// may differ by small constants. On a cyclic CDG, the same-cycle order
+// can decide whether the cyclic wait closes, so the verdicts may differ
+// (docs/SIMULATION.md, "The two engines").
 #include "sim/event_sim.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
@@ -86,12 +90,13 @@ class FlitFifo {
   std::size_t head_ = 0;
 };
 
-/// Per-queue state, allocated sparsely (hash map keyed by queue id) so an
-/// idle (channel, VL) on a 100k-switch fabric costs nothing. For
-/// in-network queues the entry doubles as the downstream-resource view of
-/// that (channel, VL): `occupancy` is the credit count (flits present or
-/// in flight to this buffer), `lock` the wormhole owner, and `waiters`
-/// the actors to wake when either changes.
+/// Per-queue state. A record is created the first time traffic touches
+/// its queue, so an idle (channel, VL) on a 100k-switch fabric costs one
+/// null entry in the flat queue-id index, not a record. For in-network
+/// queues the record doubles as the downstream-resource view of that
+/// (channel, VL): `occupancy` is the credit count (flits present or in
+/// flight to this buffer), `lock` the wormhole owner, and `waiters` the
+/// actors to wake when either changes.
 struct QState {
   FlitFifo flits;  // packet id | kTailBit on tail flits
   std::uint32_t occupancy = 0;
@@ -153,6 +158,8 @@ struct EventSimulator::Impl {
       out_used_stamp_.assign(net.num_channels(), 0);
     }
     input_used_stamp_.assign(net.num_channels() + net.num_nodes(), 0);
+    q_index_.assign(nic_base_ + net.num_nodes(), nullptr);
+    out_index_.assign(net.num_channels(), nullptr);
     nic_packets_.assign(net.num_nodes(), {});
     nic_pending_.assign(net.num_nodes(), {});
     nic_head_.assign(net.num_nodes(), 0);
@@ -177,7 +184,20 @@ struct EventSimulator::Impl {
                         : static_cast<NodeId>(qid - nic_base_);
   }
 
-  QState& qs(std::uint64_t key) { return qs_[key]; }
+  /// The queue's record, created on first touch. Records live in a deque
+  /// and never move, so a reference stays valid while later lookups
+  /// create other records (wake_waiters walks one queue's waiters while
+  /// schedule_work creates others).
+  QState& qs(std::uint64_t qid) {
+    QState*& slot = q_index_[qid];
+    if (slot == nullptr) slot = &q_pool_.emplace_back();
+    return *slot;
+  }
+  OutState& outs(ChannelId c) {
+    OutState*& slot = out_index_[c];
+    if (slot == nullptr) slot = &out_pool_.emplace_back();
+    return *slot;
+  }
 
   // --- event queue ----------------------------------------------------------
   Bucket& bucket_at(std::uint64_t t) {
@@ -212,7 +232,7 @@ struct EventSimulator::Impl {
   void schedule_work(std::uint64_t actor, std::uint64_t t) {
     std::uint64_t& stamp = adaptive_vls_ > 0
                                ? qs(actor).sched_time
-                               : outs_[static_cast<ChannelId>(actor)].sched_time;
+                               : outs(static_cast<ChannelId>(actor)).sched_time;
     if (stamp >= t) return;
     stamp = t;
     bucket_at(t).works.push_back(actor);
@@ -278,7 +298,7 @@ struct EventSimulator::Impl {
     NUE_DCHECK(out != kInvalidChannel);
     q.req_out = out;
     q.registered = true;
-    outs_[out].cand.push_back(qid);
+    outs(out).cand.push_back(qid);
     schedule_work(out, wake_t);
   }
 
@@ -292,7 +312,7 @@ struct EventSimulator::Impl {
   /// (waking writers blocked on it), and re-register for the next flit.
   void pop_head(std::uint64_t qid, std::uint64_t t) {
     QState& q = qs(qid);
-    auto& cand = outs_[q.req_out].cand;
+    auto& cand = outs(q.req_out).cand;
     for (std::size_t i = 0; i < cand.size(); ++i) {
       if (cand[i] == qid) {
         cand[i] = cand.back();
@@ -321,7 +341,7 @@ struct EventSimulator::Impl {
   /// one flit, subscribe every credit/lock-blocked candidate, retry at
   /// t+1 when only same-cycle stamps were in the way.
   void serve_output(ChannelId out, std::uint64_t t) {
-    OutState& os = outs_[out];
+    OutState& os = outs(out);
     auto& cand = os.cand;
     if (cand.empty()) return;
     const std::size_t n = cand.size();
@@ -740,8 +760,12 @@ struct EventSimulator::Impl {
   std::uint64_t nic_base_;
 
   std::vector<Packet> packets_;
-  std::unordered_map<std::uint64_t, QState> qs_;
-  std::unordered_map<ChannelId, OutState> outs_;
+  // Queue and output records, indexed by queue id and by channel; null
+  // until first touched (see qs() and outs()).
+  std::vector<QState*> q_index_;
+  std::deque<QState> q_pool_;
+  std::vector<OutState*> out_index_;
+  std::deque<OutState> out_pool_;
   std::vector<std::uint64_t> input_used_stamp_;
   std::vector<std::uint64_t> out_used_stamp_;  // adaptive only
   std::vector<std::vector<std::uint16_t>> hop_dist_;  // per dest_idx, lazy

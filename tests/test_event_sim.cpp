@@ -8,8 +8,12 @@
 #include "routing/dfsssp.hpp"
 #include "routing/validate.hpp"
 #include "sim/event_sim.hpp"
+#include "sim/scenario.hpp"
 #include "sim/traffic.hpp"
 #include "test_helpers.hpp"
+#include "topology/faults.hpp"
+#include "topology/generate.hpp"
+#include "util/rng.hpp"
 
 namespace nue {
 namespace {
@@ -124,6 +128,78 @@ TEST(EventSim, AdaptiveRunsOnEventEngine) {
   const auto res = simulate_adaptive(net, escape, 2, msgs, cfg);
   EXPECT_TRUE(res.completed) << "cycles=" << res.cycles;
   EXPECT_GE(res.events_processed, res.flit_hops);
+}
+
+/// Every counter and statistic of one run, as the engine reported it.
+struct GoldenRun {
+  std::uint64_t cycles;
+  std::uint64_t events_processed;
+  std::uint64_t queue_peak;
+  std::uint64_t flit_hops;
+  std::uint64_t delivered_packets;
+  std::uint64_t delivered_bytes;
+  double avg_packet_latency;
+  std::uint64_t max_packet_latency;
+  double p99_packet_latency;
+  double max_link_utilization;
+  double avg_link_utilization;
+};
+
+void expect_golden(const SimResult& res, const GoldenRun& want,
+                   const char* what) {
+  EXPECT_TRUE(res.completed) << what;
+  EXPECT_EQ(res.cycles, want.cycles) << what;
+  EXPECT_EQ(res.events_processed, want.events_processed) << what;
+  EXPECT_EQ(res.queue_peak, want.queue_peak) << what;
+  EXPECT_EQ(res.flit_hops, want.flit_hops) << what;
+  EXPECT_EQ(res.delivered_packets, want.delivered_packets) << what;
+  EXPECT_EQ(res.delivered_bytes, want.delivered_bytes) << what;
+  EXPECT_DOUBLE_EQ(res.avg_packet_latency, want.avg_packet_latency) << what;
+  EXPECT_EQ(res.max_packet_latency, want.max_packet_latency) << what;
+  EXPECT_DOUBLE_EQ(res.p99_packet_latency, want.p99_packet_latency) << what;
+  EXPECT_DOUBLE_EQ(res.max_link_utilization, want.max_link_utilization)
+      << what;
+  EXPECT_DOUBLE_EQ(res.avg_link_utilization, want.avg_link_utilization)
+      << what;
+}
+
+TEST(EventSim, GoldenCounters) {
+  // The engine's event order is part of its contract: a change to its
+  // internal state layout must leave every counter of these three runs
+  // exactly as it was. The values were captured while the engine still
+  // kept its queue and output state in hash maps.
+  Network net = generate_topology("torus:4x4x3:2").net;
+  Rng rng(28);
+  ASSERT_EQ(inject_link_failures(net, 3, rng), 3u);
+  NueOptions opt;
+  opt.num_vls = 4;
+  const auto rr = route_nue(net, net.terminals(), opt);
+  ASSERT_TRUE(validate_routing(net, rr).deadlock_free);
+  SimConfig cfg = quick_config();
+  cfg.buffer_flits = 4;
+  const auto msgs = alltoall_shift_messages(net, 1024, 6);
+  expect_golden(simulate(net, rr, msgs, cfg),
+                {324, 90326, 808, 45832, 576, 589824, 50.574652777777779, 221,
+                 165.5, 0.5771604938271605, 0.28727782155678139},
+                "deterministic Nue k=4 all-to-all");
+
+  const auto escape = route_nue(net, net.terminals(), NueOptions{});
+  ASSERT_EQ(escape.num_vls(), 1u);
+  expect_golden(simulate_adaptive(net, escape, 2, msgs, cfg),
+                {260, 108678, 1303, 46019, 576, 589824, 48.546875, 210,
+                 115.25, 0.71923076923076923, 0.36054282596835785},
+                "adaptive, 2 VLs over a Nue escape");
+
+  Rng sc_rng(7);
+  const Scenario sc =
+      parse_scenario(net, "burst:3:16:1024:40;alltoall:512:2", sc_rng);
+  const ScenarioResult scr = simulate_scenario(net, rr, sc, cfg);
+  EXPECT_EQ(scr.status, SimRunStatus::kCompleted);
+  ASSERT_EQ(scr.phases.size(), 3u);  // a burst, then two barriered shifts
+  expect_golden(scr.sim,
+                {194, 17590, 747, 9741, 240, 147456, 19.841666666666665, 55,
+                 46.0, 0.40206185567010311, 0.08505154639175258},
+                "barriered scenario");
 }
 
 }  // namespace

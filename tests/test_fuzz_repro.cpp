@@ -10,6 +10,7 @@
 #include "fuzz/fuzz.hpp"
 #include "resilience/resilience.hpp"
 #include "routing/updown.hpp"
+#include "sim/flit_sim.hpp"
 #include "test_helpers.hpp"
 #include "topology/faults.hpp"
 #include "topology/generate.hpp"
@@ -107,6 +108,58 @@ TEST(FuzzOracle, NonMinimalVerdictFollowsTheCatalogue) {
     EXPECT_TRUE(rep.ok()) << engine_name(e) << ": " << violation_kind(rep);
     EXPECT_FALSE(rep.minimality_checked) << engine_name(e);
   }
+}
+
+// Scenario 172 of `route_fuzz --count 300 --seed 77`, shrunk by the
+// minimizer: MinHop on a faulted Dragonfly, whose CDG is cyclic. The
+// event engine completes the oracle's all-to-all and the cycle engine
+// deadlocks on it. Neither engine is wrong: which of two same-cycle moves
+// goes first decides whether the cyclic wait closes, and the event engine
+// itself deadlocks when its same-cycle work is served in another order.
+TEST(FuzzOracle, CyclicTableMayCompleteOnlyOnTheEventEngine) {
+  ScenarioSpec spec;
+  spec.seed = 3584424146464372948ull;
+  spec.generate = "dragonfly:4:2:1:5";
+  spec.engine = Engine::kMinHop;
+  spec.vls = 2;
+  spec.fail_links = 1;
+  // The minimizer's removals, in order: (is_switch, id).
+  const std::vector<Removal> removals = {
+      {true, 0},   {true, 8},   {true, 9},   {true, 11},  {false, 6},
+      {false, 12}, {false, 54}, {false, 56}, {false, 58}, {false, 20},
+      {true, 18},  {false, 10}, {false, 16}, {false, 42}, {false, 36},
+      {false, 38}, {true, 2},   {true, 4},   {true, 1}};
+  ScenarioBuild build;
+  const OracleReport rep = run_scenario(spec, removals, {}, &build);
+  EXPECT_TRUE(rep.ok()) << (rep.ok() ? "" : rep.violations.front());
+  EXPECT_FALSE(rep.validation.deadlock_free);
+  EXPECT_TRUE(rep.engines_cross_checked);
+  EXPECT_TRUE(rep.sim_completed);
+
+  // Both engines on the oracle's traffic; the event engine's run is
+  // pinned exactly.
+  const EngineOutcome routed = run_engine(spec, build);
+  ASSERT_TRUE(routed.rr.has_value());
+  SimConfig cfg;
+  cfg.max_cycles = 5'000'000;
+  cfg.deadlock_cycles = 10'000;
+  const auto msgs = alltoall_shift_messages(build.net, 256, 4);
+  const SimResult event = simulate(build.net, *routed.rr, msgs, cfg);
+  const SimResult cycle = simulate_cycle(build.net, *routed.rr, msgs, cfg);
+  EXPECT_TRUE(event.completed);
+  EXPECT_EQ(event.cycles, 129u);
+  EXPECT_EQ(event.flit_hops, 2075u);
+  EXPECT_EQ(event.events_processed, 3791u);
+  EXPECT_TRUE(cycle.deadlocked);
+  EXPECT_EQ(sim_engine_divergence(event, cycle, false), "");
+  // On an acyclic table the same pair is a divergence, and so is the
+  // opposite pair on any table.
+  EXPECT_NE(sim_engine_divergence(event, cycle, true), "");
+  EXPECT_NE(sim_engine_divergence(cycle, event, false), "");
+  EXPECT_EQ(sim_engine_divergence(event, event, true), "");
+  SimResult short_by_one = event;
+  --short_by_one.delivered_packets;
+  EXPECT_NE(sim_engine_divergence(event, short_by_one, false), "");
 }
 
 TEST(FuzzBatch, ThreadCountInvariant) {

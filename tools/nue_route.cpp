@@ -16,8 +16,10 @@
 //   nue_route --generate torus:4x4:2 --fault-events 12
 //             --fault-trace-out run.trace --reconfig-json out.json
 //       draw a random event stream, replay it live, save the trace
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "graph/algorithms.hpp"
@@ -36,6 +38,19 @@
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
+namespace {
+
+/// Ceiling of --vls and --max-vls: the same 64 lanes a daemon `load`
+/// request may ask for.
+constexpr std::int64_t kMaxVls = 64;
+constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+/// Ceiling of the failure counts: no generated fabric has more nodes or
+/// links than this.
+constexpr auto kMaxFailures =
+    static_cast<std::int64_t>(nue::kMaxGeneratedElements);
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace nue;
   Flags flags(argc, argv);
@@ -43,10 +58,11 @@ int main(int argc, char** argv) {
       flags.get_string("topology", "", "fabric file to load");
   const std::string gen =
       flags.get_string("generate", "", "generator spec, e.g. torus:4x4x3:4");
-  const auto fail_links = static_cast<std::size_t>(
-      flags.get_int("fail-links", 0, "random link failures to inject"));
+  const auto fail_links = static_cast<std::size_t>(flags.get_int(
+      "fail-links", 0, "random link failures to inject", 0, kMaxFailures));
   const auto fail_switches = static_cast<std::size_t>(
-      flags.get_int("fail-switches", 0, "random switch failures to inject"));
+      flags.get_int("fail-switches", 0, "random switch failures to inject", 0,
+                    kMaxFailures));
   const auto fault_seed = static_cast<std::uint64_t>(
       flags.get_int("fault-seed", 1, "failure-injection seed"));
   const std::string fault_trace_file = flags.get_string(
@@ -54,17 +70,19 @@ int main(int argc, char** argv) {
       "replay a fault/repair trace through the live resilience manager");
   const auto fault_events = static_cast<std::size_t>(flags.get_int(
       "fault-events", 0,
-      "draw this many random fault/repair events and replay them live"));
+      "draw this many random fault/repair events and replay them live", 0));
   const std::string fault_trace_out = flags.get_string(
       "fault-trace-out", "", "save the drawn event trace to this file");
-  const auto max_vls_flag = static_cast<std::uint32_t>(flags.get_int(
-      "max-vls", 0, "repair ladder VL escalation cap (0 = max(--vls, 8))"));
+  const auto max_vls_flag = static_cast<std::uint32_t>(
+      flags.get_int("max-vls", 0,
+                    "repair ladder VL escalation cap (0 = max(--vls, 8))", 0,
+                    kMaxVls));
   const std::string reconfig_json = flags.get_string(
       "reconfig-json", "", "write the reconfiguration verdict log as JSON");
   const std::string engine =
       flags.get_string("routing", "nue", engine_names());
-  const auto vls = static_cast<std::uint32_t>(
-      flags.get_int("vls", 1, "virtual lanes for deadlock freedom"));
+  const auto vls = static_cast<std::uint32_t>(flags.get_int(
+      "vls", 1, "virtual lanes for deadlock freedom", 1, kMaxVls));
   const std::string betweenness = flags.get_string(
       "betweenness", "exact",
       "Nue escape-root Brandes: exact | sampled:<pivots> (docs/SCALING.md)");
@@ -81,10 +99,12 @@ int main(int argc, char** argv) {
       "compile LFT/SL/SL2VL state and cross-check it against the routing");
   const bool do_sim =
       flags.get_bool("simulate", false, "run an all-to-all flit simulation");
-  const auto msg_bytes = static_cast<std::uint32_t>(
-      flags.get_int("message-bytes", 2048, "simulated message size"));
-  const auto shifts = static_cast<std::uint32_t>(flags.get_int(
-      "shift-samples", 8, "all-to-all shift phases to simulate (0 = all)"));
+  const auto msg_bytes = static_cast<std::uint32_t>(flags.get_int(
+      "message-bytes", 2048, "simulated message size", 0, kMaxU32));
+  const auto shifts = static_cast<std::uint32_t>(
+      flags.get_int("shift-samples", 8,
+                    "all-to-all shift phases to simulate (0 = all)", 0,
+                    kMaxU32));
   telemetry::Cli telem;
   telem.register_flags(flags);
   const std::uint32_t threads = flags.get_threads();
