@@ -21,12 +21,14 @@ ctest --test-dir build --output-on-failure -j
 # against an in-flight storm), the bounded transition log (its retention
 # window, the journal/reconfig golden and the counter-parity check), and
 # the event-engine suites (the engine itself is single-threaded, but its
-# runs sit downstream of the thread-pooled routing phase).
+# runs sit downstream of the thread-pooled routing phase), and Nue's
+# incremental reroute (its layers, escape-root screen included, run on
+# the pool; the repair goldens replay it at several thread counts).
 cmake -B build-tsan -S . -DSANITIZE=thread
 cmake --build build-tsan -j --target nue_tests
 TSAN_OPTIONS="halt_on_error=1" \
   ./build-tsan/tests/nue_tests \
-  --gtest_filter='ParallelDeterminism.*:NetworkChurn.*:ResilienceChurn.*:ReconfigLogRetention.*:Daemon.*:WaveScheduler.*:LivePlane.*:JournalGolden.*:CounterParity.*:EventSim.*:SimParity.*:Scenario.*'
+  --gtest_filter='ParallelDeterminism.*:NetworkChurn.*:ResilienceChurn.*:ReconfigLogRetention.*:Daemon.*:WaveScheduler.*:LivePlane.*:JournalGolden.*:CounterParity.*:EventSim.*:SimParity.*:Scenario.*:Reroute.*:GoldenRepair.*'
 
 cmake -B build-ubsan -S . -DSANITIZE=undefined
 cmake --build build-ubsan -j --target route_fuzz

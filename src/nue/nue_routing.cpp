@@ -12,6 +12,7 @@
 #include "heap/fibonacci_heap.hpp"
 #include "nue/complete_cdg.hpp"
 #include "routing/cdg_index.hpp"
+#include "routing/dependency_order.hpp"
 #include "routing/sssp_engine.hpp"
 #include "routing/validate.hpp"
 #include "telemetry/telemetry.hpp"
@@ -34,8 +35,9 @@ constexpr std::uint32_t kAltStackLimit = 8;
 /// fattree:8:3 at k = 1 it leaves 147 escape fallbacks where 500 leaves 0.
 constexpr double kBalanceDamping = 50.0;
 /// Escape-tree roots a hitless reroute tries besides the preferred one
-/// before reverting to the escape-first setup; each try is one BFS and
-/// checked marking pass per layer, so the cap bounds repair latency.
+/// before reverting to the escape-first setup; each try is one static
+/// screen (a BFS tree, its escape dependencies and one acyclicity check)
+/// per layer, so the cap bounds repair latency.
 constexpr std::size_t kRerouteRootAttempts = 16;
 
 /// The surviving dependencies of old column d (search orientation, in
@@ -58,6 +60,51 @@ bool for_each_surviving_dep(const Network& net, const RoutingResult& old,
     if (!f(reverse(pc), reverse(c))) return false;
   }
   return true;
+}
+
+/// The distinct dependencies the escape paths (Definition 7) of the BFS
+/// spanning tree rooted at `root` impose toward `dests`, in search
+/// orientation: the set LayerRouter::init_escape_paths force-marks for
+/// that root. A packet that turns at tree node p from neighbour v onto
+/// neighbour q heads for a destination on q's side of the tree edge
+/// (p, q), and every other neighbour's packets to it turn there too, so
+/// the turns (v -> p -> q) are dependencies iff some destination lies on
+/// that side. Subtree counts decide that per edge, without a walk per
+/// destination.
+std::vector<std::pair<ChannelId, ChannelId>> escape_dependencies(
+    const Network& net, NodeId root, const std::vector<NodeId>& dests) {
+  const auto parent = bfs_tree(net, root);
+  // Tree channels leaving each node.
+  std::vector<std::vector<ChannelId>> adj(net.num_nodes());
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (parent[v] == kInvalidChannel) continue;
+    adj[v].push_back(parent[v]);
+    adj[net.dst(parent[v])].push_back(reverse(parent[v]));
+  }
+  std::vector<NodeId> order{root};  // parents before children
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (ChannelId c : adj[order[i]]) {
+      if (c != parent[order[i]]) order.push_back(net.dst(c));
+    }
+  }
+  std::vector<std::uint32_t> below(net.num_nodes(), 0);  // in the subtree
+  for (NodeId d : dests) below[d] = 1;
+  for (std::size_t i = order.size(); i-- > 1;) {
+    below[net.dst(parent[order[i]])] += below[order[i]];
+  }
+  std::vector<std::pair<ChannelId, ChannelId>> deps;
+  for (NodeId p : order) {
+    for (ChannelId out : adj[p]) {  // p -> q
+      const std::uint32_t beyond = out == parent[p]
+                                       ? below[root] - below[p]
+                                       : below[net.dst(out)];
+      if (beyond == 0) continue;
+      for (ChannelId in : adj[p]) {  // p -> v, the search-side image of v -> p
+        if (in != out) deps.emplace_back(reverse(out), in);
+      }
+    }
+  }
+  return deps;
 }
 
 /// Routes all destinations of one virtual layer inside that layer's
@@ -659,6 +706,73 @@ void merge_stats(NueStats& into, const NueStats& from) {
   into.roots.insert(into.roots.end(), from.roots.begin(), from.roots.end());
 }
 
+/// reroute_nue's split of the old table's destinations by old layer.
+struct LayerSplit {
+  /// Surviving destinations, in the old table's order.
+  std::vector<NodeId> alive;
+  /// Columns broken by the failure (recomputed) and intact ones (kept).
+  std::vector<std::vector<NodeId>> affected;
+  std::vector<std::vector<NodeId>> kept;
+  /// Destinations that died with their switch. They still leave stale
+  /// columns behind: in-flight packets toward them occupy the surviving
+  /// hops of the old column until they reach the dead element, so those
+  /// dependencies constrain the replacement routes exactly like a broken
+  /// column's.
+  std::vector<std::vector<NodeId>> stale_only;
+};
+
+LayerSplit split_layers(const Network& net, const RoutingResult& old) {
+  LayerSplit split;
+  split.affected.resize(old.num_vls());
+  split.kept.resize(old.num_vls());
+  split.stale_only.resize(old.num_vls());
+  // A column survives iff affected_destinations keeps it: its unchanged
+  // pointer chains still end at the destination.
+  std::vector<std::uint8_t> broken(net.num_nodes(), 0);
+  for (NodeId d : affected_destinations(net, old)) broken[d] = 1;
+  for (NodeId d : old.destinations()) {
+    const std::uint32_t layer = old.vl(d, d, old.dest_index(d));
+    if (!net.node_alive(d)) {
+      split.stale_only[layer].push_back(d);
+      continue;
+    }
+    split.alive.push_back(d);
+    (broken[d] ? split.affected : split.kept)[layer].push_back(d);
+  }
+  return split;
+}
+
+/// One old layer's surviving dependencies (search orientation): those of
+/// its broken, dead-destination and kept columns, in that order — the
+/// constraints-first pre-marks.
+std::vector<std::pair<ChannelId, ChannelId>> surviving_deps(
+    const Network& net, const RoutingResult& old, const LayerSplit& split,
+    std::size_t layer) {
+  std::vector<std::pair<ChannelId, ChannelId>> deps;
+  for (const auto* cols :
+       {&split.affected[layer], &split.stale_only[layer], &split.kept[layer]}) {
+    for (NodeId d : *cols) {
+      for_each_surviving_dep(net, old, d, [&](ChannelId from, ChannelId to) {
+        deps.emplace_back(from, to);
+        return true;
+      });
+    }
+  }
+  return deps;
+}
+
+/// The escape-root screen over one layer's surviving dependencies, which
+/// come from one validated table's per-layer CDG and so are acyclic.
+DependencyOrder dependency_order(
+    const Network& net,
+    const std::vector<std::pair<ChannelId, ChannelId>>& deps) {
+  DependencyOrder order(net.num_channels());
+  order.add_edges(deps);
+  NUE_CHECK_MSG(order.recompute_order(),
+                "surviving dependencies must be acyclic");
+  return order;
+}
+
 /// Publish a finished run's aggregate stats to the telemetry registry
 /// (docs/OBSERVABILITY.md records the counter-name schema). The stats are
 /// computed regardless; publishing is gated so disabled runs pay nothing.
@@ -701,45 +815,7 @@ NodeId select_escape_root(const Network& net,
 
 std::size_t count_escape_dependencies(const Network& net, NodeId root,
                                       const std::vector<NodeId>& dests) {
-  const auto parent = bfs_tree(net, root);
-  std::vector<std::vector<ChannelId>> adj(net.num_nodes());
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    if (parent[v] == kInvalidChannel) continue;
-    adj[v].push_back(parent[v]);
-    adj[net.dst(parent[v])].push_back(reverse(parent[v]));
-  }
-  // Sorted-vector dedup instead of a std::set: the dependency stream is
-  // dest-major with heavy cross-destination overlap, and one sort + unique
-  // over the flat buffer beats per-insert tree rebalancing (and its node
-  // churn) by a wide margin on large columns.
-  std::vector<std::pair<ChannelId, ChannelId>> deps;
-  std::vector<ChannelId> toward(net.num_nodes());
-  std::vector<NodeId> bfs;
-  std::vector<std::uint8_t> seen(net.num_nodes());
-  for (NodeId d : dests) {
-    std::fill(toward.begin(), toward.end(), kInvalidChannel);
-    std::fill(seen.begin(), seen.end(), 0);
-    bfs.assign(1, d);
-    seen[d] = 1;
-    for (std::size_t i = 0; i < bfs.size(); ++i) {
-      for (ChannelId c : adj[bfs[i]]) {
-        const NodeId nb = net.dst(c);
-        if (seen[nb]) continue;
-        seen[nb] = 1;
-        toward[nb] = reverse(c);
-        bfs.push_back(nb);
-      }
-    }
-    for (NodeId v = 0; v < net.num_nodes(); ++v) {
-      const ChannelId e = toward[v];
-      if (e == kInvalidChannel) continue;
-      const NodeId p = net.dst(e);
-      if (p != d) deps.emplace_back(e, toward[p]);
-    }
-  }
-  std::sort(deps.begin(), deps.end());
-  return static_cast<std::size_t>(
-      std::unique(deps.begin(), deps.end()) - deps.begin());
+  return escape_dependencies(net, root, dests).size();
 }
 
 RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
@@ -753,34 +829,13 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
   RerouteStats& rs = reroute_stats ? *reroute_stats : rs_local;
   rs = RerouteStats{};
 
-  // Surviving destinations keep their old layer assignment. Destinations
-  // that died with their switch still leave stale columns behind: in-flight
-  // packets toward them occupy the surviving hops of the old column until
-  // they reach the dead element, so those dependencies constrain the
-  // replacement routes exactly like a broken column's.
-  std::vector<NodeId> dests;
-  std::vector<std::vector<NodeId>> stale_only(old.num_vls());
-  for (NodeId d : old.destinations()) {
-    if (net.node_alive(d)) {
-      dests.push_back(d);
-    } else {
-      ++rs.dests_dropped;
-      const std::uint32_t old_di = old.dest_index(d);
-      stale_only[old.vl(d, d, old_di)].push_back(d);
-    }
-  }
-  RoutingResult rr(net.num_nodes(), dests, old.num_vls(), VlMode::kPerDest);
-
-  // A column survives iff affected_destinations keeps it: its unchanged
-  // pointer chains still end at the destination.
-  std::vector<std::uint8_t> broken(net.num_nodes(), 0);
-  for (NodeId d : affected_destinations(net, old)) broken[d] = 1;
-  std::vector<std::vector<NodeId>> kept(old.num_vls());
-  std::vector<std::vector<NodeId>> affected(old.num_vls());
-  for (NodeId d : dests) {
-    const std::uint32_t layer = old.vl(d, d, old.dest_index(d));
-    (broken[d] ? affected : kept)[layer].push_back(d);
-  }
+  const LayerSplit split = split_layers(net, old);
+  rs.dests_dropped = old.destinations().size() - split.alive.size();
+  RoutingResult rr(net.num_nodes(), split.alive, old.num_vls(),
+                   VlMode::kPerDest);
+  const auto& affected = split.affected;
+  const auto& kept = split.kept;
+  const auto& stale_only = split.stale_only;
   // A kept column is reused verbatim at the alive nodes. Like the
   // resilience manager's splice, reroute copies alive nodes only: a
   // restored switch comes back as a hole that affected_destinations flags.
@@ -829,33 +884,25 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
         // during the swap. Every pre-mark mirrors the old table's own
         // per-layer CDG — acyclic by that table's validation — so the
         // pre-marks never clash with each other; only the escape tree can
-        // clash with them. Try the hitless-friendly order first: all
-        // pre-marks, then a checked escape tree fitted around them — when
-        // that succeeds with zero skipped marks, the old+new union CDG is
-        // acyclic by construction. When no compatible tree exists, fall
-        // back to the escape-first order (Lemma 3's delivery guarantee
-        // outranks hitlessness) with best-effort stale marks, and the
-        // transition gate downstream prices the skips. A kept column that
-        // clashes is demoted into the routing set — that grows the escape
-        // requirement, so iterate to a fixpoint (bounded by the
-        // kept-column count; almost always a single pass).
+        // clash with them. So the hitless-friendly order (all pre-marks,
+        // then a checked escape tree) goes first, and the escape-first
+        // order only when no candidate root's tree fits.
         std::vector<NodeId> to_route = affected[layer];
         std::vector<NodeId> keep_cols = kept[layer];
-        // One scratch arena for every root attempt of this layer: each
-        // router construction rewinds it, so the attempt loop below runs
-        // with zero steady-state allocation for the flat scratch.
+        // One scratch arena for every router of this layer: each router
+        // construction rewinds it, so rebuilding runs with zero
+        // steady-state allocation for the flat scratch.
         Arena arena;
         std::unique_ptr<LayerRouter> router;
-        bool escape_first = false;
-        // Root schedule for the checked escape setup. The hint — the root
-        // this layer's previous escape tree grew from — goes first: that
-        // tree was force-marked whole in the old table's CDG, so its BFS
-        // re-derivation on the degraded fabric is almost always compatible
-        // with the surviving old dependencies and the hitless repair
-        // succeeds on the first attempt. Then the paper's
-        // betweenness-central root (it minimizes escape dependencies,
-        // Fig. 5), then capped alternatives spread across the fabric —
-        // any one of them being compatible is enough.
+        const auto build_router = [&](NodeId r) {
+          router.reset();  // release the previous router before its arena
+                           // slices are rewound by the next construction
+          router = std::make_unique<LayerRouter>(net, idx, r, opt, ls, arena);
+        };
+        // The hint: the root this layer's previous escape tree grew from.
+        // That tree was force-marked whole in the old table's CDG, so its
+        // BFS re-derivation on the degraded fabric often fits the
+        // surviving old dependencies (on most layer repairs of a storm).
         NodeId hint = layer < opt.escape_root_hints.size()
                           ? opt.escape_root_hints[layer]
                           : kInvalidNode;
@@ -877,11 +924,12 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
           }
           return central;
         };
-        std::vector<NodeId> candidates;
-        if (hint != kInvalidNode) candidates.push_back(hint);
-        bool expanded = false;
-        const auto expand_candidates = [&] {
-          expanded = true;
+        // The roots after the hint: the paper's betweenness-central root
+        // (it minimizes escape dependencies, Fig. 5), then capped
+        // alternatives spread across the fabric — any one of them being
+        // compatible is enough.
+        const auto later_candidates = [&] {
+          std::vector<NodeId> candidates;
           const NodeId pref = preferred_root();
           if (pref != hint) candidates.push_back(pref);
           std::vector<NodeId> alts;
@@ -900,86 +948,87 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
           } else {
             candidates.insert(candidates.end(), alts.begin(), alts.end());
           }
+          return candidates;
         };
-        if (candidates.empty()) expand_candidates();
-        std::size_t root_attempt = 0;
-        NodeId root = kInvalidNode;
-        // Stale-mark skip count per routed column of the final attempt: a
+        // Stale-mark skip count per routed column of the final router: a
         // column with zero skips has its whole surviving dependency set in
         // the CDG and is eligible for the partial repair below.
         std::unordered_map<NodeId, std::size_t> col_skips;
-        // One old layer's surviving dependencies, kept columns included.
-        std::vector<std::pair<ChannelId, ChannelId>> old_deps;
-        const auto collect_column_deps = [&](NodeId d) {
-          for_each_surviving_dep(net, old, d,
-                                 [&](ChannelId from, ChannelId to) {
-                                   old_deps.emplace_back(from, to);
-                                   return true;
-                                 });
+        // Constraints-first: the old layer's surviving dependencies, kept
+        // columns included, bulk-loaded into a fresh CDG in one
+        // topological pass, then a checked escape tree fitted around
+        // them. Succeeding here means zero skipped marks and zero
+        // demotions: the old+new union CDG is acyclic by construction.
+        const std::vector<std::pair<ChannelId, ChannelId>> old_deps =
+            surviving_deps(net, old, split, layer);
+        const auto fit_tree = [&](NodeId r) {
+          ++lrs.root_attempts;
+          build_router(r);
+          router->premark_bulk(old_deps);
+          return router->init_escape_paths(to_route);
         };
-        while (true) {
-          root = escape_first ? preferred_root() : candidates[root_attempt];
-          router.reset();  // release the failed attempt before its arena
-                           // slices are rewound by the next construction
-          router = std::make_unique<LayerRouter>(net, idx, root, opt, ls,
-                                                 arena);
-          if (!escape_first) {
-            // Constraints-first: every pre-mark mirrors the old table's
-            // acyclic per-layer CDG, so the pre-marks cannot conflict
-            // with each other — bulk-load them in one topological pass,
-            // then fit a checked escape tree around them. Zero skipped
-            // marks and zero demotions by construction: succeeding here
-            // makes the repair hitless.
-            old_deps.clear();
-            for (NodeId d : to_route) collect_column_deps(d);
-            for (NodeId d : stale_only[layer]) collect_column_deps(d);
-            for (NodeId d : keep_cols) collect_column_deps(d);
-            router->premark_bulk(old_deps);
-            col_skips.clear();
-            for (NodeId d : to_route) col_skips[d] = 0;
-            const bool tree_ok = router->init_escape_paths(to_route);
-            if (!tree_ok) {
-              ++root_attempt;
-              if (root_attempt >= candidates.size()) {
-                if (!expanded) expand_candidates();
-                if (root_attempt >= candidates.size()) escape_first = true;
-              }
+        NodeId root = kInvalidNode;
+        if (hint != kInvalidNode && fit_tree(hint)) root = hint;
+        if (root == kInvalidNode) {
+          // Screen the later roots without a router: init_escape_paths'
+          // checked insertions fail at the first one that closes a cycle,
+          // and acyclicity is monotone, so the tree of root r fits iff
+          // old_deps ∪ r's escape dependencies is acyclic. Only a root
+          // that passes gets a router.
+          DependencyOrder screen = dependency_order(net, old_deps);
+          for (NodeId r : later_candidates()) {
+            ++lrs.roots_screened;
+            if (!screen.acyclic_with(escape_dependencies(net, r, to_route))) {
               continue;
             }
+            const bool tree_ok = fit_tree(r);
+            NUE_CHECK_MSG(tree_ok, "escape root " << r
+                                                  << " passed the screen but "
+                                                     "its tree does not fit");
+            root = r;
             break;
           }
+        }
+        if (root != kInvalidNode) {
+          for (NodeId d : to_route) col_skips[d] = 0;
+        } else {
           // Escape-first fallback (Lemma 3's delivery guarantee outranks
           // hitlessness): the escape tree first, on the fresh CDG where it
-          // always fits, then checked kept pre-marks with demotion to a
-          // fixpoint, then best-effort stale marks priced by the
-          // transition gate downstream.
-          const bool tree_ok = router->init_escape_paths(to_route);
-          NUE_CHECK_MSG(tree_ok, "escape paths must stay acyclic");
-          bool demoted = false;
-          std::vector<NodeId> still_kept;
-          for (NodeId d : keep_cols) {
-            if (router->premark_column_checked(old, d)) {
-              still_kept.push_back(d);
-            } else {
-              to_route.push_back(d);
-              ++lrs.dests_demoted;
-              demoted = true;
+          // always fits, then checked kept pre-marks — a kept column that
+          // clashes is demoted into the routing set, which grows the
+          // escape requirement, so iterate to a fixpoint (bounded by the
+          // kept-column count) — then best-effort stale marks priced by
+          // the transition gate downstream.
+          root = preferred_root();
+          while (true) {
+            build_router(root);
+            const bool tree_ok = router->init_escape_paths(to_route);
+            NUE_CHECK_MSG(tree_ok, "escape paths must stay acyclic");
+            bool demoted = false;
+            std::vector<NodeId> still_kept;
+            for (NodeId d : keep_cols) {
+              if (router->premark_column_checked(old, d)) {
+                still_kept.push_back(d);
+              } else {
+                to_route.push_back(d);
+                ++lrs.dests_demoted;
+                demoted = true;
+              }
             }
+            keep_cols.swap(still_kept);
+            if (demoted) continue;  // rebuild with the enlarged routing set
+            std::size_t skipped = 0;
+            for (NodeId d : to_route) {
+              const std::size_t sk = router->premark_stale_deps(old, d);
+              col_skips[d] = sk;
+              skipped += sk;
+            }
+            for (NodeId d : stale_only[layer]) {
+              skipped += router->premark_stale_deps(old, d);
+            }
+            lrs.stale_marks_skipped += skipped;
+            break;
           }
-          keep_cols.swap(still_kept);
-          if (demoted) continue;  // rebuild with the enlarged routing set
-          std::size_t skipped = 0;
-          col_skips.clear();
-          for (NodeId d : to_route) {
-            const std::size_t sk = router->premark_stale_deps(old, d);
-            col_skips[d] = sk;
-            skipped += sk;
-          }
-          for (NodeId d : stale_only[layer]) {
-            skipped += router->premark_stale_deps(old, d);
-          }
-          lrs.stale_marks_skipped += skipped;
-          break;
         }
         ls.roots.push_back(root);
         for (NodeId d : keep_cols) keep_column(d, layer);
@@ -1018,9 +1067,45 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
     rs.dests_patched += layer_rs[layer].dests_patched;
     rs.dests_demoted += layer_rs[layer].dests_demoted;
     rs.stale_marks_skipped += layer_rs[layer].stale_marks_skipped;
+    rs.root_attempts += layer_rs[layer].root_attempts;
+    rs.roots_screened += layer_rs[layer].roots_screened;
   }
   publish_stats(st);
+  if (telemetry::enabled()) {
+    telemetry::counter("nue.reroute_root_attempts")
+        .add_always(rs.root_attempts);
+    telemetry::counter("nue.reroute_roots_screened")
+        .add_always(rs.roots_screened);
+  }
   return rr;
+}
+
+std::vector<EscapeRootVerdict> escape_root_verdicts(const Network& net,
+                                                    const RoutingResult& old) {
+  const LayerSplit split = split_layers(net, old);
+  const CdgIndex idx(net);
+  const NueOptions opt;
+  NueStats stats;
+  Arena arena;
+  std::vector<EscapeRootVerdict> out;
+  for (std::uint32_t layer = 0; layer < old.num_vls(); ++layer) {
+    const std::vector<NodeId>& to_route = split.affected[layer];
+    if (to_route.empty()) continue;
+    const auto deps = surviving_deps(net, old, split, layer);
+    DependencyOrder screen = dependency_order(net, deps);
+    for (NodeId r : net.switches()) {
+      if (!net.node_alive(r)) continue;
+      EscapeRootVerdict v;
+      v.layer = layer;
+      v.root = r;
+      v.screened = screen.acyclic_with(escape_dependencies(net, r, to_route));
+      LayerRouter router(net, idx, r, opt, stats, arena);
+      router.premark_bulk(deps);
+      v.fitted = router.init_escape_paths(to_route);
+      out.push_back(v);
+    }
+  }
+  return out;
 }
 
 RoutingResult route_nue(const Network& net, const std::vector<NodeId>& dests,

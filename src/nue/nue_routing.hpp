@@ -125,6 +125,12 @@ struct RerouteStats {
   /// other marks. 0 means the old+new union CDG is acyclic by
   /// construction — a hitless table swap (docs/RESILIENCE.md).
   std::size_t stale_marks_skipped = 0;
+  /// Constraints-first escape trees fitted on a built router: the hint,
+  /// and the first later root that passed the screen.
+  std::size_t root_attempts = 0;
+  /// Later roots (after a failed or missing hint) judged by the static
+  /// screen — one acyclicity check each, no router built.
+  std::size_t roots_screened = 0;
 };
 
 /// Fail-in-place rerouting (the paper's deployment context [7]): `net` is
@@ -142,5 +148,23 @@ RoutingResult reroute_nue(const Network& net, const RoutingResult& old,
                           const NueOptions& opt = {},
                           RerouteStats* reroute_stats = nullptr,
                           NueStats* stats = nullptr);
+
+/// One escape-root decision of reroute_nue's constraints-first setup,
+/// made both ways (see escape_root_verdicts).
+struct EscapeRootVerdict {
+  std::uint32_t layer = 0;
+  NodeId root = kInvalidNode;
+  bool screened = false;  // the static screen passes the root
+  bool fitted = false;    // init_escape_paths accepts its tree on a router
+                          // bulk-loaded with the layer's surviving deps
+};
+
+/// For every layer of `old` with columns to recompute on the degraded
+/// `net`, and every alive switch as the escape root: the static screen's
+/// verdict and the router's. reroute_nue builds a router only for a root
+/// the screen passes, so its choice is the router's iff the two agree
+/// everywhere. Exposed for the tests that hold them equal.
+std::vector<EscapeRootVerdict> escape_root_verdicts(const Network& net,
+                                                    const RoutingResult& old);
 
 }  // namespace nue

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "routing/dependency_order.hpp"
 #include "routing/validate.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -31,44 +32,6 @@ std::vector<Edge> column_edges(ColumnPass& pass, std::uint32_t di,
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   return edges;
 }
-
-/// Incrementally growable dependency graph with a maintained topological
-/// order: a candidate edge set whose edges all run forward in the current
-/// order is admitted without a recheck; otherwise one Kahn pass decides
-/// (and a rejected candidate pays a second pass to restore the order).
-struct TopoGraph {
-  explicit TopoGraph(std::size_t n) : adj(n), pos(n, 0) {}
-
-  void add_edges(const std::vector<Edge>& es) {
-    for (const Edge& e : es) adj[e.first].push_back(e.second);
-  }
-
-  /// Refills pos; false iff the graph has a cycle.
-  bool recompute_topo() { return is_acyclic(adj, &pos); }
-
-  /// Admit es iff the graph stays acyclic; on rejection the graph (and
-  /// the topological order) are left as before.
-  bool try_add(const std::vector<Edge>& es) {
-    bool forward = true;
-    for (const Edge& e : es) {
-      if (pos[e.first] >= pos[e.second]) {
-        forward = false;
-        break;
-      }
-    }
-    add_edges(es);
-    if (forward) return true;  // the existing order certifies acyclicity
-    if (recompute_topo()) return true;
-    for (auto it = es.rbegin(); it != es.rend(); ++it) {
-      adj[it->first].pop_back();
-    }
-    recompute_topo();  // pos is partial after a failed pass; restore it
-    return false;
-  }
-
-  std::vector<std::vector<std::uint32_t>> adj;
-  std::vector<std::uint32_t> pos;
-};
 
 }  // namespace
 
@@ -178,13 +141,13 @@ WavePlan schedule_waves(const Network& net, const RoutingResult& old_rr,
     // drains its predecessor), the new dependencies of everything already
     // migrated, and — first wave only — the dropped columns still held by
     // in-flight traffic of the pre-transition epoch.
-    TopoGraph g(num_vertices);
+    DependencyOrder g(num_vertices);
     g.add_edges(base_edges);
     if (plan.waves.empty()) g.add_edges(dropped_edges);
     for (std::size_t i = 0; i < deltas.size(); ++i) {
       g.add_edges(migrated[i] ? deltas[i].e_new : deltas[i].e_old);
     }
-    if (!g.recompute_topo()) {
+    if (!g.recompute_order()) {
       // The base state mirrors an already-committed (or by-construction
       // acyclic) table, so this is unreachable unless a producer broke
       // its contract; report, never crash the repair path.

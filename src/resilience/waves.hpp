@@ -15,7 +15,10 @@
 // intermediate state and admits a destination into the open wave only if
 // adding its new column's dependencies keeps the graph acyclic (checked
 // against a maintained topological order — candidates whose edges all go
-// forward are admitted in O(|edges|), others pay one Kahn pass). After a
+// forward are admitted in O(|edges|); for the others a search from the
+// back edges' heads, confined to the order window they span, decides,
+// and only an admitted one pays a Kahn pass to reorder; see
+// routing/dependency_order.hpp). After a
 // wave commits, the old dependencies of its members are retired. A
 // bounded wave count (resilience::kMaxWaves) and a stuck wave (no
 // admissible destination) are the only failure modes, both reported as a

@@ -42,9 +42,49 @@ std::vector<NodeId> switch_orphans(const Network& net, NodeId sw) {
   return orphans;
 }
 
+/// Ends an injector's draws once nothing is left to remove. A failed
+/// draw of a link or switch asks whether any element is still removable;
+/// the answer is a witness, trusted until the next removal changes the
+/// fabric, so the sweep behind it runs at most once per removal. The
+/// draws are untouched: an injection stops early only where every later
+/// draw would have failed too.
+class Exhaustion {
+ public:
+  explicit Exhaustion(std::size_t n) : n_(n) {}
+
+  /// The fabric changed: the witness must be found again.
+  void removed() { known_ = false; }
+
+  /// True iff `removable(i)` holds for no element i < n.
+  template <typename Removable>
+  bool exhausted(const Removable& removable) {
+    if (known_) return false;
+    for (std::size_t k = 0; k < n_; ++k) {
+      const std::size_t i = (witness_ + k) % n_;
+      if (removable(i)) {
+        witness_ = i;
+        known_ = true;
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t witness_ = 0;
+  bool known_ = false;
+};
+
 }  // namespace
 
 std::size_t inject_link_failures(Network& net, std::size_t count, Rng& rng) {
+  const auto removable = [&](std::size_t pair) {
+    const auto c = static_cast<ChannelId>(2 * pair);
+    return net.channel_alive(c) && !net.is_terminal(net.src(c)) &&
+           !net.is_terminal(net.dst(c)) && link_removal_safe(net, c);
+  };
+  Exhaustion left(net.num_channels() / 2);
   std::size_t removed = 0;
   std::size_t attempts = 0;
   const std::size_t max_attempts = 50 * (count + 1);
@@ -53,10 +93,13 @@ std::size_t inject_link_failures(Network& net, std::size_t count, Rng& rng) {
     // Draw an alive switch-to-switch link (even channel of the pair).
     const auto c =
         static_cast<ChannelId>(rng.next_below(net.num_channels()) & ~1ull);
-    if (!net.channel_alive(c)) continue;
     if (net.is_terminal(net.src(c)) || net.is_terminal(net.dst(c))) continue;
-    if (!link_removal_safe(net, c)) continue;
+    if (!net.channel_alive(c) || !link_removal_safe(net, c)) {
+      if (left.exhausted(removable)) break;
+      continue;
+    }
     net.remove_link(c);
+    left.removed();
     ++removed;
   }
   return removed;
@@ -64,17 +107,27 @@ std::size_t inject_link_failures(Network& net, std::size_t count, Rng& rng) {
 
 std::size_t inject_switch_failures(Network& net, std::size_t count,
                                    Rng& rng) {
+  const auto removable = [&](std::size_t i) {
+    const auto v = static_cast<NodeId>(i);
+    return net.node_alive(v) && !net.is_terminal(v) &&
+           switch_removal_safe(net, v);
+  };
+  Exhaustion left(net.num_nodes());
   std::size_t removed = 0;
   std::size_t attempts = 0;
   const std::size_t max_attempts = 50 * (count + 1);
   while (removed < count && attempts < max_attempts) {
     ++attempts;
     const auto v = static_cast<NodeId>(rng.next_below(net.num_nodes()));
-    if (!net.node_alive(v) || net.is_terminal(v)) continue;
-    if (!switch_removal_safe(net, v)) continue;
+    if (net.is_terminal(v)) continue;
+    if (!net.node_alive(v) || !switch_removal_safe(net, v)) {
+      if (left.exhausted(removable)) break;
+      continue;
+    }
     const auto orphans = switch_orphans(net, v);
     net.remove_node(v);
     for (NodeId t : orphans) net.remove_node(t);
+    left.removed();
     ++removed;
   }
   return removed;

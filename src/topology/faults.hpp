@@ -18,15 +18,16 @@ namespace nue {
 
 /// Remove `count` switch-to-switch links chosen uniformly at random.
 /// Links whose removal would disconnect the alive fabric are skipped and
-/// redrawn (up to a bounded number of attempts). Returns the number of
-/// links actually removed.
+/// redrawn (up to a bounded number of attempts, and no further once no
+/// removable link is left). Returns the number of links actually removed.
 std::size_t inject_link_failures(Network& net, std::size_t count, Rng& rng);
 
 /// Remove `count` random switches (with all their links, including the
 /// terminals' access links — the terminals become orphans and are removed
 /// too, matching a dead switch taking its nodes offline). Switches whose
-/// removal would disconnect the remaining fabric are redrawn. Returns the
-/// number of switches actually removed.
+/// removal would disconnect the remaining fabric are redrawn, until no
+/// removable switch is left. Returns the number of switches actually
+/// removed.
 std::size_t inject_switch_failures(Network& net, std::size_t count, Rng& rng);
 
 // --- runtime repair ---------------------------------------------------------

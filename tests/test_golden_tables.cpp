@@ -15,7 +15,9 @@
 // the paper's expected inapplicability.)
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "routing/routing.hpp"
 #include "routing/updown.hpp"
 #include "topology/faults.hpp"
+#include "topology/generate.hpp"
 #include "topology/misc_topologies.hpp"
 #include "topology/torus.hpp"
 #include "topology/trees.hpp"
@@ -280,6 +283,74 @@ TEST(GoldenRepair, ManagerReplayDfsssp) {
   EXPECT_EQ(pin.steps,
             "full-recompute,wave,full-recompute,noop,wave,full-recompute,noop,"
             "wave,full-recompute,wave,full-recompute,noop,noop");
+}
+
+// A 256-event storm on torus:4x4x4:1 through Nue's repair ladder (2
+// VLs, up to 4) — the replay behind the repair-latency measurements in
+// EXPERIMENTS.md. Each record is pinned by its committed step, wave
+// position, gate verdict, column counts and ladder verdicts (timings
+// stripped); the incremental rung's verdict carries the kept, rerouted,
+// patched, demoted and stale-skip counts, summed below as well.
+TEST(GoldenRepair, StormReplay) {
+  const Network net = generate_topology("torus:4x4x4:1").net;
+  const FaultTrace trace = draw_fault_trace(net, "torus:4x4x4:1", 1, 256);
+  resilience::RepairPolicy policy;
+  policy.engine = resilience::Engine::kNue;
+  policy.vls = 2;
+  policy.max_vls = 4;
+  policy.seed = 1;
+  policy.num_threads = 2;
+  resilience::ResilienceManager mgr(net, policy);
+  std::uint64_t chain_hash = 0;
+  mgr.set_commit_hook([&chain_hash](const Network&, const RoutingResult*,
+                                    const RoutingResult& rr,
+                                    const TransitionRecord&) {
+    chain_hash = chain_hash * 1099511628211ull ^ table_hash(rr);
+  });
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const std::string& line) {
+    for (unsigned char ch : line) {
+      h ^= ch;
+      h *= 1099511628211ull;
+    }
+  };
+  std::size_t kept = 0, rerouted = 0, patched = 0, demoted = 0, skipped = 0;
+  for (const TransitionRecord& r : mgr.replay(trace)) {
+    std::ostringstream os;
+    os << r.epoch << " " << r.event << " " << r.committed_step << " "
+       << r.affected_dests << "/" << r.total_dests << " wave "
+       << r.wave_index << "/" << r.wave_count << " hitless " << r.hitless
+       << " drained " << r.drained;
+    for (const std::string& v : r.verdicts) {
+      os << " | " << v.substr(0, v.rfind(" ["));
+      std::size_t k = 0, rr = 0, p = 0, d = 0, sk = 0;
+      if (std::sscanf(v.c_str(),
+                      "incremental: ok (kept %zu, rerouted %zu of which "
+                      "patched %zu, demoted %zu, stale marks skipped %zu)",
+                      &k, &rr, &p, &d, &sk) == 5) {
+        kept += k;
+        rerouted += rr;
+        patched += p;
+        demoted += d;
+        skipped += sk;
+      }
+    }
+    mix(os.str() + "\n");
+  }
+  const auto sum = mgr.log().summarize();
+  EXPECT_EQ(sum.transitions, 272u);
+  EXPECT_EQ(sum.hitless, 271u);
+  EXPECT_EQ(sum.drained, 0u);
+  EXPECT_EQ(sum.noops, 84u);
+  EXPECT_EQ(sum.waved, 93u);
+  EXPECT_EQ(kept, 4471u);
+  EXPECT_EQ(rerouted, 4581u);
+  EXPECT_EQ(patched, 3038u);
+  EXPECT_EQ(demoted, 807u);
+  EXPECT_EQ(skipped, 5180u);
+  EXPECT_EQ(h, 0x579e4704dc8fe4ccull);
+  EXPECT_EQ(chain_hash, 0x7ef7762d77bf46d1ull);
+  EXPECT_EQ(table_hash(*mgr.table()), 0x3d49209fe4c3231aull);
 }
 
 TEST(GoldenRepair, LashPerSourceLanes) {

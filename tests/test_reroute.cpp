@@ -7,6 +7,7 @@
 #include "routing/validate.hpp"
 #include "test_helpers.hpp"
 #include "topology/faults.hpp"
+#include "topology/generate.hpp"
 #include "topology/misc_topologies.hpp"
 #include "topology/torus.hpp"
 #include "util/rng.hpp"
@@ -135,6 +136,38 @@ TEST(Reroute, ReportsTheOmegaCountersOfTheLayersItRoutes) {
   EXPECT_GT(ns.fast_accepts, 0u);
   EXPECT_GT(ns.cycle_searches, 0u);
   EXPECT_GT(ns.cycle_search_steps, 0u);
+}
+
+// reroute_nue builds a router only for an escape root its static screen
+// passes, so the screen must agree with init_escape_paths on a freshly
+// bulk-loaded router for every root of every layer it repairs.
+TEST(Reroute, EscapeRootScreenMatchesTheRouter) {
+  std::size_t fits = 0;
+  std::size_t misfits = 0;
+  for (const char* spec : {"torus:4x4x3:1", "fattree:4:3"}) {
+    for (std::uint32_t k : {2u, 4u}) {
+      for (std::uint64_t seed : {1u, 2u}) {
+        Network net = generate_topology(spec).net;
+        NueOptions opt;
+        opt.num_vls = k;
+        const auto old = route_nue(net, net.terminals(), opt);
+        Rng rng(seed);
+        ASSERT_EQ(inject_link_failures(net, 3, rng), 3u);
+        if (seed == 2) {
+          ASSERT_EQ(inject_switch_failures(net, 1, rng), 1u);
+        }
+        for (const EscapeRootVerdict& v : escape_root_verdicts(net, old)) {
+          EXPECT_EQ(v.screened, v.fitted)
+              << spec << " k=" << k << " seed=" << seed << " layer "
+              << v.layer << " root " << v.root;
+          ++(v.fitted ? fits : misfits);
+        }
+      }
+    }
+  }
+  // Both verdicts occur, so neither side can pass by answering one way.
+  EXPECT_GT(fits, 0u);
+  EXPECT_GT(misfits, 0u);
 }
 
 }  // namespace

@@ -219,6 +219,64 @@ TEST(Faults, RefusesToDisconnect) {
   EXPECT_TRUE(is_connected(net));
 }
 
+// The bringup benchmark's fault sets (torus:8x8x8:4, 15 link faults, one
+// generator per set seeded from the run seed), pinned by the links they
+// remove and by where each injector's draws stop.
+TEST(Faults, SeededFaultSetsKeepTheirDraws) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (std::uint64_t seed : {1u, 2u}) {
+    Rng seeds(seed);
+    for (int set = 0; set < 4; ++set) {
+      Network net = generate_topology("torus:8x8x8:4").net;
+      Rng rng(seeds.next_u64());
+      ASSERT_EQ(inject_link_failures(net, 15, rng), 15u);
+      for (ChannelId c = 0; c < net.num_channels(); c += 2) {
+        if (!net.channel_alive(c)) mix(c);
+      }
+      mix(rng.next_u64());
+    }
+  }
+  EXPECT_EQ(h, 0xa65f9975ba4937b3ull);
+}
+
+/// Number of draws `rng` took since it was seeded with `seed`, if fewer
+/// than `limit`.
+std::size_t draws_since_seed(Rng& rng, std::uint64_t seed, std::size_t limit) {
+  const std::uint64_t next = rng.next_u64();
+  Rng ref(seed);
+  for (std::size_t n = 0; n < limit; ++n) {
+    if (ref.next_u64() == next) return n;
+  }
+  return limit;
+}
+
+// Once nothing removable is left, the injectors return at once instead
+// of drawing out their 50 x (count + 1) attempt budget.
+TEST(Faults, StopWhenNothingIsLeftToFail) {
+  {
+    Network net = generate_topology("torus:3x3:1").net;
+    Rng rng(5);
+    EXPECT_EQ(inject_link_failures(net, 1000000, rng), 10u);
+    EXPECT_EQ(switch_links(net), 8u);  // a spanning tree of 9 switches
+    EXPECT_TRUE(is_connected(net));
+    EXPECT_LT(draws_since_seed(rng, 5, 100000), 100000u);
+  }
+  {
+    Network net = generate_topology("torus:3x3:1").net;
+    Rng rng(5);
+    EXPECT_EQ(inject_switch_failures(net, 1000000, rng), 8u);
+    EXPECT_EQ(net.num_alive_switches(), 1u);
+    EXPECT_TRUE(is_connected(net));
+    EXPECT_LT(draws_since_seed(rng, 5, 100000), 100000u);
+  }
+}
+
 }  // namespace
 }  // namespace nue
 

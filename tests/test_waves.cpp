@@ -289,6 +289,216 @@ TEST(WaveScheduler, ScheduleIsDeterministic) {
   EXPECT_EQ(a.max_affected_wave, b.max_affected_wave);
 }
 
+// --- equivalence with the two-Kahn admission --------------------------------
+
+/// The scheduler as it was before the windowed admission check: the same
+/// classification and greedy coloring, but a candidate with a back edge
+/// is decided by a whole-graph Kahn pass, and a rejected one pays a
+/// second pass to restore the order. The reference the production
+/// schedule must equal, wave for wave and failure for failure.
+resilience::WavePlan reference_schedule(const Network& net,
+                                        const RoutingResult& old_rr,
+                                        const RoutingResult& new_rr,
+                                        std::size_t max_waves) {
+  using Edge = ColumnPass::Edge;
+  struct TwoKahnGraph {
+    explicit TwoKahnGraph(std::size_t n) : adj(n), pos(n, 0) {}
+    void add_edges(const std::vector<Edge>& es) {
+      for (const Edge& e : es) adj[e.first].push_back(e.second);
+    }
+    bool recompute_topo() { return is_acyclic(adj, &pos); }
+    bool try_add(const std::vector<Edge>& es) {
+      bool forward = true;
+      for (const Edge& e : es) {
+        if (pos[e.first] >= pos[e.second]) {
+          forward = false;
+          break;
+        }
+      }
+      add_edges(es);
+      if (forward) return true;
+      if (recompute_topo()) return true;
+      for (auto it = es.rbegin(); it != es.rend(); ++it) {
+        adj[it->first].pop_back();
+      }
+      recompute_topo();
+      return false;
+    }
+    std::vector<std::vector<std::uint32_t>> adj;
+    std::vector<std::uint32_t> pos;
+  };
+  const auto column_edges = [](ColumnPass& pass, std::uint32_t di,
+                               const std::vector<NodeId>& seeds) {
+    pass.run(di, seeds);
+    std::vector<Edge> edges = pass.edges();
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    return edges;
+  };
+  resilience::WavePlan plan;
+  if (old_rr.vl_mode() != new_rr.vl_mode()) {
+    plan.failure = "vl-mode mismatch between old and new table";
+    return plan;
+  }
+  if (max_waves == 0) {
+    plan.failure = "wave budget is zero";
+    return plan;
+  }
+  const std::uint32_t stride =
+      std::max(old_rr.num_vls(), new_rr.num_vls()) + 1;
+  const std::vector<NodeId> seeds = new_rr.vl_mode() == VlMode::kPerSource
+                                        ? net.terminals()
+                                        : net.alive_nodes();
+  ColumnPass old_pass(net, old_rr, stride, stride - 1);
+  ColumnPass new_pass(net, new_rr, stride, stride - 1);
+  struct Delta {
+    NodeId d = 0;
+    bool affected = false;
+    std::vector<Edge> e_old, e_new;
+  };
+  std::vector<Delta> deltas;
+  std::vector<Edge> base_edges;
+  std::vector<Edge> dropped_edges;
+  std::vector<std::uint8_t> broken(net.num_nodes(), 0);
+  for (NodeId d : affected_destinations(net, old_rr)) broken[d] = 1;
+  for (std::size_t di = 0; di < new_rr.destinations().size(); ++di) {
+    const NodeId d = new_rr.destinations()[di];
+    const auto di32 = static_cast<std::uint32_t>(di);
+    const std::uint32_t old_di = old_rr.dest_index(d);
+    if (old_di == RoutingResult::kNoDest) {
+      deltas.push_back({d, true, {}, column_edges(new_pass, di32, seeds)});
+      continue;
+    }
+    if (new_rr.same_column(net, di32, old_rr, old_di)) {
+      const std::vector<Edge> es = column_edges(new_pass, di32, seeds);
+      base_edges.insert(base_edges.end(), es.begin(), es.end());
+      continue;
+    }
+    deltas.push_back({d, broken[d] != 0, column_edges(old_pass, old_di, seeds),
+                      column_edges(new_pass, di32, seeds)});
+  }
+  std::size_t dropped = 0;
+  for (std::size_t di = 0; di < old_rr.destinations().size(); ++di) {
+    if (new_rr.is_destination(old_rr.destinations()[di])) continue;
+    ++dropped;
+    const std::vector<Edge> es =
+        column_edges(old_pass, static_cast<std::uint32_t>(di), seeds);
+    dropped_edges.insert(dropped_edges.end(), es.begin(), es.end());
+  }
+  plan.changed_dests = deltas.size() + dropped;
+  if (deltas.empty()) {
+    plan.failure = "no changed columns to migrate";
+    return plan;
+  }
+  std::stable_sort(deltas.begin(), deltas.end(),
+                   [](const Delta& a, const Delta& b) {
+                     if (a.affected != b.affected) return a.affected;
+                     return a.d < b.d;
+                   });
+  std::vector<std::uint8_t> migrated(deltas.size(), 0);
+  std::size_t remaining = deltas.size();
+  while (remaining > 0) {
+    if (plan.waves.size() >= max_waves) {
+      std::ostringstream os;
+      os << "wave budget exhausted: " << remaining
+         << " columns unscheduled after " << plan.waves.size() << " waves";
+      plan.failure = os.str();
+      plan.waves.clear();
+      return plan;
+    }
+    TwoKahnGraph g(net.num_channels() * stride);
+    g.add_edges(base_edges);
+    if (plan.waves.empty()) g.add_edges(dropped_edges);
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+      g.add_edges(migrated[i] ? deltas[i].e_new : deltas[i].e_old);
+    }
+    if (!g.recompute_topo()) {
+      plan.failure = "intermediate dependency graph cyclic before the wave";
+      plan.waves.clear();
+      return plan;
+    }
+    std::vector<NodeId> wave;
+    bool wave_affected = false;
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+      if (migrated[i] || !g.try_add(deltas[i].e_new)) continue;
+      migrated[i] = 1;
+      --remaining;
+      wave.push_back(deltas[i].d);
+      wave_affected = wave_affected || deltas[i].affected;
+    }
+    if (wave.empty()) {
+      std::ostringstream os;
+      os << "stuck: none of the " << remaining
+         << " remaining columns admissible in wave "
+         << plan.waves.size() + 1;
+      plan.failure = os.str();
+      plan.waves.clear();
+      return plan;
+    }
+    std::sort(wave.begin(), wave.end());
+    plan.waves.push_back(std::move(wave));
+    if (wave_affected) plan.max_affected_wave = plan.waves.size();
+  }
+  return plan;
+}
+
+// Storm pairs: every committed transition of drawn fault/repair storms,
+// plus pairs three epochs apart (wider deltas, more stuck verdicts), each
+// scheduled at a tight and at the manager's wave budget.
+TEST(WaveScheduler, MatchesTheTwoKahnReferenceOnStormPairs) {
+  struct Epoch {
+    Network net;
+    RoutingResult rr;
+  };
+  std::size_t pairs = 0, scheduled = 0, failed = 0;
+  for (resilience::Engine engine :
+       {resilience::Engine::kNue, resilience::Engine::kUpDown}) {
+    for (std::uint64_t seed : {29u, 30u}) {
+      TorusSpec spec{{4, 4}, 1, 1};
+      Network net = make_torus(spec);
+      const FaultTrace trace =
+          draw_fault_trace(net, "torus:4x4:1", seed, 40, 0.5);
+      resilience::RepairPolicy policy;
+      policy.engine = engine;
+      policy.vls = 2;
+      policy.max_vls = 4;
+      policy.seed = seed;
+      resilience::ResilienceManager mgr(std::move(net), policy);
+      std::vector<Epoch> epochs;
+      mgr.set_commit_hook([&epochs](const Network& n, const RoutingResult*,
+                                    const RoutingResult& rr,
+                                    const TransitionRecord&) {
+        epochs.push_back({n, rr});
+      });
+      mgr.replay(trace);
+      for (std::size_t i = 1; i < epochs.size(); ++i) {
+        for (std::size_t back : {std::size_t{1}, std::size_t{3}}) {
+          if (back > i) continue;
+          const Network& n = epochs[i].net;
+          const RoutingResult& old_rr = epochs[i - back].rr;
+          const RoutingResult& new_rr = epochs[i].rr;
+          for (std::size_t budget : {std::size_t{2}, resilience::kMaxWaves}) {
+            const resilience::WavePlan got =
+                resilience::schedule_waves(n, old_rr, new_rr, budget);
+            const resilience::WavePlan want =
+                reference_schedule(n, old_rr, new_rr, budget);
+            EXPECT_EQ(got.waves, want.waves) << "epoch " << i;
+            EXPECT_EQ(got.failure, want.failure) << "epoch " << i;
+            EXPECT_EQ(got.changed_dests, want.changed_dests);
+            EXPECT_EQ(got.max_affected_wave, want.max_affected_wave);
+            ++pairs;
+            ++(want.ok() && want.waves.size() >= 2 ? scheduled : failed);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 0u);
+  // Multi-wave schedules and failures both occur.
+  EXPECT_GT(scheduled, 0u);
+  EXPECT_GT(failed, 0u);
+}
+
 // --- manager-level: the multi-epoch apply() chain ---------------------------
 
 /// One churn replay at the given worker-thread count, recording per-epoch

@@ -172,7 +172,8 @@ int main(int argc, char** argv) {
                 << fail_switches << " switch and " << dead_links << "/"
                 << fail_links
                 << " link failures (injection keeps the fabric connected "
-                   "and gives up after a bounded number of redraws)\n";
+                   "and stops once nothing removable is left or after a "
+                   "bounded number of redraws)\n";
     }
     std::cout << "fabric: " << net.num_alive_switches() << " switches, "
               << net.num_alive_terminals() << " terminals, "
